@@ -5,7 +5,7 @@ from .bench import BenchRow, fit_log, run_family, to_csv
 from .ir import (Circuit, DecompReport, Gate, cnot_count, compose,
                  count_gates, depth, export_text, inverse, lower, parse_json,
                  remap, report_for)
-from .mcx import McxSpec, cnx_oracle, mcx_log, rccx, toffoli_ladder
+from .mcx import McxSpec, mcx_log, rccx
 from .sim import EquivResult, apply, equiv, spectral_distance, unitary_of
 from .su2 import (McmtSpec, baseline_counts, find_conjugating_gate,
                   mcmt_su2, mcmt_x)
@@ -15,7 +15,7 @@ __all__ = [
     "cnot_count", "compose", "count_gates", "depth", "export_text",
     "inverse", "lower", "parse_json", "remap", "report_for",
     "apply", "equiv", "spectral_distance", "unitary_of",
-    "McxSpec", "cnx_oracle", "mcx_log", "rccx", "toffoli_ladder",
+    "McxSpec", "mcx_log", "rccx",
     "McmtSpec", "baseline_counts", "find_conjugating_gate",
     "mcmt_su2", "mcmt_x",
     "ApproxParams", "approx_mcu", "nb_from_epsilon", "su2_angle",

@@ -12,16 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import approx_mcu
-from .ir import cnot_count, depth, lower
+from .ir import FIXED_MATRICES, cnot_count, depth, lower, rz_mat
 from .mcx import McxSpec, mcx_log
 from .su2 import McmtSpec, baseline_counts, mcmt_su2, mcmt_x
-from .sim import rz_mat
 
 FAMILIES = ("mcx_clean", "mcx_dirty", "mcmt_x", "mcmt_su2", "approx_u")
 COUNT_ONLY_MAX_N = 4096
 
 _DEFAULT_W = rz_mat(math.pi / 4)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_X = FIXED_MATRICES["X"]
 
 
 @dataclass(frozen=True)

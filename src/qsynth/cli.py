@@ -7,24 +7,23 @@ DecompReport summary and diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import ast
 import cmath
 import json
 import math
+import operator
 import re
 import sys
 
 import numpy as np
 
-from .approx import approx_mcu
+from .approx import approx_mcu, su2_angle
 from .bench import FAMILIES, run_family, to_csv
-from .ir import cnot_count, export_text, lower, parse_json, report_for
+from .ir import (FIXED_MATRICES, export_text, parse_json, report_for, rx_mat,
+                 ry_mat, rz_mat)
 from .mcx import McxSpec, mcx_log
-from .sim import (UNITARY_CAP, apply, equiv, random_state, rx_mat, ry_mat,
-                  rz_mat, spectral_distance, unitary_of)
 from .su2 import McmtSpec, mcmt_su2, mcmt_x
-
-SPOT_CAP = 18          # statevector spot checks beyond the unitary cap
-_SPOT_SEED = 20240811
+from .verify import Spec, verify_circuit
 
 
 class UsageError(Exception):
@@ -35,23 +34,37 @@ class UsageError(Exception):
 # gate-argument parsing
 
 _NAMED = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "x": FIXED_MATRICES["X"],
     "z": np.diag([1, -1]).astype(complex),
     "s": np.diag([1, 1j]).astype(complex),
-    "t": np.diag([1, cmath.exp(1j * math.pi / 4)]).astype(complex),
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    "t": FIXED_MATRICES["T"],
+    "h": FIXED_MATRICES["H"],
 }
 _ROT = {"rx": rx_mat, "ry": ry_mat, "rz": rz_mat}
+_ARITH = {ast.Add: operator.add, ast.Sub: operator.sub,
+          ast.Mult: operator.mul, ast.Div: operator.truediv,
+          ast.USub: operator.neg, ast.UAdd: operator.pos}
+
+
+def _eval_angle(node):
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.BinOp) and type(node.op) in _ARITH:
+        return _ARITH[type(node.op)](_eval_angle(node.left),
+                                     _eval_angle(node.right))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _ARITH:
+        return _ARITH[type(node.op)](_eval_angle(node.operand))
+    raise ValueError("unsupported element")
 
 
 def parse_angle(expr):
-    """Float angle expression; arithmetic and the ``pi`` literal only."""
-    if not re.fullmatch(r"[0-9pi+\-*/().eE ]*", expr or ""):
-        raise UsageError("bad angle expression %r" % (expr,))
+    """Float angle expression: numbers, ``pi``, + - * /, parentheses."""
     try:
-        return float(eval(expr, {"__builtins__": {}}, {"pi": math.pi}))
-    except Exception:
-        raise UsageError("bad angle expression %r" % (expr,))
+        return _eval_angle(ast.parse((expr or "").strip(), mode="eval").body)
+    except (SyntaxError, ValueError, ZeroDivisionError, RecursionError):
+        raise UsageError("bad angle expression %r" % (expr,)) from None
 
 
 def _matrix_from_json(data):
@@ -86,70 +99,41 @@ def parse_gate_spec(text):
     return _matrix_from_json(data)
 
 
-def _su2_of(U):
-    """Strip the global phase; multi-target SU(2) synthesis works up to it."""
-    det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
-    return U * cmath.exp(-1j * cmath.phase(det) / 2.0)
-
-
 # ---------------------------------------------------------------------------
-# independent oracle pieces (index arithmetic only, no circuit lowering)
+# synthesis dispatch: each target builds its circuit, the spec it must meet
+# and, where the synthesizer makes one anyway, its resource report
 
-def _cnu_matrix(nq, ctrls, t, W):
-    """Unitary of W on qubit t controlled on ctrls, over nq qubits."""
-    dim = 1 << nq
-    cm = sum(1 << c for c in ctrls)
-    tb = 1 << t
-    M = np.eye(dim, dtype=complex)
-    for i in range(dim):
-        if (i & cm) == cm and not (i & tb):
-            j = i | tb
-            M[i, i] = W[0, 0]
-            M[j, i] = W[1, 0]
-            M[i, j] = W[0, 1]
-            M[j, j] = W[1, 1]
-    return M
+def _build_mcx(args):
+    c = mcx_log(McxSpec(args.controls, args.ancilla))
+    return c, Spec("mcx", args.controls, (_NAMED["x"],), args.ancilla), None
 
 
-def _mcmt_oracle(nq, n, targets, W):
-    M = np.eye(1 << nq, dtype=complex)
-    for t in targets:
-        M = _cnu_matrix(nq, range(n), t, W) @ M
-    return M
-
-
-# ---------------------------------------------------------------------------
-# synthesis dispatch
-
-def _synth_mcx(args):
-    spec = McxSpec(args.controls, args.ancilla)
-    c = mcx_log(spec)
-    return c, report_for(c, args.ancilla)
-
-
-def _synth_mcmt_x(args):
+def _build_mcmt_x(args):
     c = mcmt_x(args.controls, args.targets)
-    return c, report_for(c, "clean")
+    return c, Spec("mcmt-x", args.controls, (_NAMED["x"],) * args.targets,
+                   "clean"), None
 
 
-def _synth_mcmt_su2(args):
-    W = _su2_of(parse_gate_spec(args.gate))
-    c = mcmt_su2(McmtSpec(args.controls, args.targets,
-                          (W,) * args.targets))
-    return c, report_for(c)
-
-
-def _synth_approx_u(args):
+def _build_mcmt_su2(args):
+    # multi-target SU(2) synthesis works up to the global phase
     U = parse_gate_spec(args.gate)
-    c, _params, rep = approx_mcu(args.controls, U, args.epsilon, args.n_b)
-    return c, rep
+    ws = (U * cmath.exp(-1j * su2_angle(U)[1]),) * args.targets
+    c = mcmt_su2(McmtSpec(args.controls, args.targets, ws))
+    return c, Spec("mcmt-su2", args.controls, ws), None
 
 
-_SYNTH = {
-    "mcx": _synth_mcx,
-    "mcmt-x": _synth_mcmt_x,
-    "mcmt-su2": _synth_mcmt_su2,
-    "approx-u": _synth_approx_u,
+def _build_approx_u(args):
+    U = parse_gate_spec(args.gate)
+    c, params, rep = approx_mcu(args.controls, U, args.epsilon, args.n_b)
+    return c, Spec("approx-u", args.controls, (U,), epsilon=args.epsilon,
+                   n_b=params.n_b), rep
+
+
+_BUILD = {
+    "mcx": _build_mcx,
+    "mcmt-x": _build_mcmt_x,
+    "mcmt-su2": _build_mcmt_su2,
+    "approx-u": _build_approx_u,
 }
 
 
@@ -160,172 +144,23 @@ def _report_line(rep):
 
 
 def cmd_synth(args):
-    c, rep = _SYNTH[args.target](args)
+    c, spec, rep = _BUILD[args.target](args)
     sys.stdout.write(export_text(c, args.format))
-    sys.stderr.write(_report_line(rep) + "\n")
+    sys.stderr.write(_report_line(rep or report_for(c, spec.ancilla)) + "\n")
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification
-
-def _spot_states(nq, count, rng):
-    return [random_state(nq, rng, product=True) for _ in range(count)]
-
-
-def _verify_mcx(args):
-    n, mode = args.controls, args.ancilla
-    c = mcx_log(McxSpec(n, mode))
-    fails = []
-    expect = {1: 1, 2: 6}.get(n, 6 * n - 6 if mode == "clean" else 12 * n - 18)
-    got = cnot_count(c)
-    if got != expect:
-        fails.append("cnot count %d != %d" % (got, expect))
-    nq = n + 2
-    anc = (n + 1,)
-    if nq <= UNITARY_CAP - 2:
-        target = _cnu_matrix(nq, range(n), n, _NAMED["x"])
-        emode = "clean_subspace" if mode == "clean" else "tensor_identity"
-        r = equiv(unitary_of(lower(c)), target, emode, 1e-9, anc)
-        if not r:
-            fails.append("%s distance %.3e" % (emode, r.distance))
-    elif nq <= SPOT_CAP:
-        rng = np.random.default_rng(_SPOT_SEED)
-        low = lower(c)
-        mask = (1 << n) - 1
-        for psi in _spot_states(n + 1, 8, rng):
-            b = int(rng.integers(2)) if mode == "dirty" else 0
-            off = b << (n + 1)
-            full = np.zeros(1 << nq, dtype=complex)
-            full[off:off + (1 << (n + 1))] = psi
-            out = apply(low, full)
-            want = psi.copy()
-            i0, i1 = mask, mask | (1 << n)
-            want[i0], want[i1] = psi[i1], psi[i0]
-            wfull = np.zeros_like(full)
-            wfull[off:off + (1 << (n + 1))] = want
-            d = float(np.abs(out - wfull).max())
-            if d > 1e-7:
-                fails.append("statevector distance %.3e" % d)
-                break
-    return fails
-
-
-def _basis_spots(c, n, m, nq, W, tol, checks=6):
-    """Spot checks with basis-valued controls and random target registers.
-
-    Controls occupy the low n wires; W should land on the m wires above
-    them when every control fires.  Wires above n+m (the ancilla, if any)
-    stay in |0>.
-    """
-    rng = np.random.default_rng(_SPOT_SEED)
-    low = lower(c)
-    fails = []
-    patterns = [(1 << n) - 1] + [int(rng.integers(1 << n) & ((1 << n) - 2))
-                                 for _ in range(checks - 1)]
-    for pat in patterns:
-        tpsi = random_state(m, rng)
-        want_t = tpsi
-        if pat == (1 << n) - 1:
-            want_t = tpsi.reshape((2,) * m)
-            for ax in range(m):
-                want_t = np.moveaxis(
-                    np.tensordot(W, np.moveaxis(want_t, m - 1 - ax, 0),
-                                 axes=([1], [0])), 0, m - 1 - ax)
-            want_t = want_t.reshape(-1)
-        idx = pat + (np.arange(1 << m) << n)
-        full = np.zeros(1 << nq, dtype=complex)
-        full[idx] = tpsi
-        out = apply(low, full)
-        want = np.zeros_like(full)
-        want[idx] = want_t
-        # align one global phase before comparing
-        k = int(np.abs(want).argmax())
-        if abs(out[k]) > 1e-12:
-            out = out * cmath.exp(-1j * cmath.phase(out[k] / want[k]))
-        d = float(np.abs(out - want).max())
-        if d > tol:
-            fails.append("spot check distance %.3e (pattern %d)" % (d, pat))
-            break
-    return fails
-
-
-def _verify_mcmt_x(args):
-    n, m = args.controls, args.targets
-    c = mcmt_x(n, m)
-    fails = []
-    expect = {1: m, 2: 2 * m + 4}.get(n, 6 * n + 2 * m - 8)
-    got = cnot_count(c)
-    if got != expect:
-        fails.append("cnot count %d != %d" % (got, expect))
-    nq = n + m + 1
-    if nq <= UNITARY_CAP - 2:
-        target = _mcmt_oracle(nq, n, range(n, n + m), _NAMED["x"])
-        r = equiv(unitary_of(lower(c)), target, "clean_subspace", 1e-9,
-                  (n + m,))
-        if not r:
-            fails.append("clean_subspace distance %.3e" % r.distance)
-    elif nq <= SPOT_CAP:
-        fails += _basis_spots(c, n, m, nq, _NAMED["x"], 1e-7)
-    return fails
-
-
-def _verify_mcmt_su2(args):
-    n, m = args.controls, args.targets
-    W = _su2_of(parse_gate_spec(args.gate))
-    c = mcmt_su2(McmtSpec(n, m, (W,) * m))
-    fails = []
-    bound = {1: 2 * m, 2: 8 * m}.get(n, 12 * n + 8 * m - 30)
-    got = cnot_count(c)
-    if got > bound:
-        fails.append("cnot count %d > bound %d" % (got, bound))
-    nq = n + m
-    if nq <= UNITARY_CAP - 2:
-        target = _mcmt_oracle(nq, n, range(n, n + m), W)
-        r = equiv(unitary_of(lower(c)), target, "global_phase", 1e-9)
-        if not r:
-            fails.append("global_phase distance %.3e" % r.distance)
-    elif nq <= SPOT_CAP:
-        fails += _basis_spots(c, n, m, nq, W, 1e-7)
-    return fails
-
-
-def _verify_approx_u(args):
-    U = parse_gate_spec(args.gate)
-    c, params, rep = approx_mcu(args.controls, U, args.epsilon, args.n_b)
-    n, n_b = args.controls, params.n_b
-    fails = []
-    expect = 4 * n_b ** 2 + 24 * n - 12 * n_b - 56
-    if rep.cnot_count != expect:
-        fails.append("cnot count %d != %d" % (rep.cnot_count, expect))
-    nq = n + 1
-    if nq <= UNITARY_CAP - 2:
-        target = _cnu_matrix(nq, range(n), n, U)
-        d = spectral_distance(unitary_of(lower(c)), target)
-        if d > args.epsilon:
-            fails.append("spectral error %.3e > epsilon %g"
-                         % (d, args.epsilon))
-    elif nq <= SPOT_CAP:
-        fails += _basis_spots(c, n, 1, nq, U, args.epsilon)
-    return fails
-
-
-_VERIFY = {
-    "mcx": _verify_mcx,
-    "mcmt-x": _verify_mcmt_x,
-    "mcmt-su2": _verify_mcmt_su2,
-    "approx-u": _verify_approx_u,
-}
+def _verify(args, prefix):
+    """Verify the requested circuit, print its verdict lines; 1 on FAIL."""
+    c, spec, _rep = _BUILD[args.target](args)
+    verdict = verify_circuit(c, spec)
+    for line in verdict.lines():
+        sys.stderr.write("%s: %s\n" % (prefix, line))
+    return 1 if verdict.fails else 0
 
 
 def cmd_verify(args):
-    fails = _VERIFY[args.target](args)
-    if fails:
-        for f in fails:
-            sys.stderr.write("verify %s: FAIL: %s\n" % (args.target, f))
-        return 1
-    sys.stderr.write("verify %s: ok\n" % args.target)
-    return 0
+    return _verify(args, "verify " + args.target)
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +189,14 @@ def cmd_bench(args):
         vargs = argparse.Namespace(ancilla="clean", targets=args.m,
                                    gate="rz(pi/4)", epsilon=args.epsilon
                                    or 0.1, n_b=None)
-        target = {"mcx_clean": "mcx", "mcx_dirty": "mcx",
-                  "mcmt_x": "mcmt-x", "mcmt_su2": "mcmt-su2",
-                  "approx_u": "approx-u"}[args.family]
+        vargs.target = {"mcx_clean": "mcx", "mcx_dirty": "mcx",
+                        "mcmt_x": "mcmt-x", "mcmt_su2": "mcmt-su2",
+                        "approx_u": "approx-u"}[args.family]
         if args.family == "mcx_dirty":
             vargs.ancilla = "dirty"
         for r in rows:
             vargs.controls = r.n
-            fails = _VERIFY[target](vargs)
-            for f in fails:
-                sys.stderr.write("bench verify n=%d: FAIL: %s\n" % (r.n, f))
-                code = 1
+            code |= _verify(vargs, "bench verify n=%d" % r.n)
     return code
 
 
@@ -406,7 +238,7 @@ def build_parser():
     for cmd, fn in (("synth", cmd_synth), ("verify", cmd_verify)):
         cp = cmds.add_parser(cmd)
         tsub = cp.add_subparsers(dest="target", required=True)
-        for target in _SYNTH:
+        for target in _BUILD:
             tp = tsub.add_parser(target)
             _add_synth_flags(tp, target)
             if cmd == "synth":
@@ -443,10 +275,7 @@ def run(argv):
         return 0 if not e.code else 2
     try:
         return args.func(args)
-    except UsageError as e:
-        sys.stderr.write("error: %s\n" % e)
-        return 2
-    except (ValueError, OSError) as e:
+    except (UsageError, ValueError, OSError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
 

@@ -32,6 +32,31 @@ LOWERED_KINDS = frozenset({"X", "H", "T", "Tdg", "Rx", "Ry", "Rz", "U2", "CX"})
 
 _UNITARITY_TOL = 1e-12
 
+# matrices of the fixed single-qubit kinds: the one definition the
+# simulator, the synthesizers and the CLI share
+FIXED_MATRICES = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    "T": np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex),
+    "Tdg": np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]],
+                    dtype=complex),
+}
+
+
+def rx_mat(a):
+    c, s = math.cos(a / 2), math.sin(a / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+
+
+def ry_mat(a):
+    c, s = math.cos(a / 2), math.sin(a / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def rz_mat(a):
+    return np.array([[cmath.exp(-0.5j * a), 0], [0, cmath.exp(0.5j * a)]],
+                    dtype=complex)
+
 
 def _check_unitary(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
@@ -246,15 +271,6 @@ def zyz_angles(U):
     return alpha, beta, gamma, delta
 
 
-def _rz_mat(a):
-    return np.array([[cmath.exp(-0.5j * a), 0], [0, cmath.exp(0.5j * a)]])
-
-
-def _ry_mat(a):
-    c, s = math.cos(a / 2), math.sin(a / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def _cu2_template(c, t, U):
     """Controlled-U via the ABC decomposition: 2 CX plus single-qubit gates.
 
@@ -262,9 +278,9 @@ def _cu2_template(c, t, U):
     control as diag(1, e^{i alpha}).
     """
     alpha, beta, gamma, delta = zyz_angles(U)
-    A = _rz_mat(beta) @ _ry_mat(gamma / 2)
-    B = _ry_mat(-gamma / 2) @ _rz_mat(-(delta + beta) / 2)
-    C = _rz_mat((delta - beta) / 2)
+    A = rz_mat(beta) @ ry_mat(gamma / 2)
+    B = ry_mat(-gamma / 2) @ rz_mat(-(delta + beta) / 2)
+    C = rz_mat((delta - beta) / 2)
     out = []
     if np.abs(C - np.eye(2)).max() > 1e-15:
         out.append(Gate("U2", (t,), matrix=C))
@@ -422,6 +438,8 @@ def export_text(circuit: Circuit, fmt: str) -> str:
     if fmt == "json":
         doc = {"n": circuit.num_qubits,
                "gates": [_gate_to_json(g) for g in circuit.gates]}
+        if any(r != "none" for r in circuit.ancilla_roles):
+            doc["ancilla_roles"] = list(circuit.ancilla_roles)
         return json.dumps(doc)
     if fmt == "qasm2":
         head = ['OPENQASM 2.0;', 'include "qelib1.inc";',
@@ -435,17 +453,28 @@ def export_text(circuit: Circuit, fmt: str) -> str:
 
 
 def parse_json(text: str) -> Circuit:
-    """Parse the JSON dialect produced by :func:`export_text`."""
+    """Parse the JSON dialect produced by :func:`export_text`.
+
+    Raises ValueError unless the text is an object with an integer ``n``
+    >= 0 and a ``gates`` list of objects that each have ``kind`` and
+    ``qubits``; ``ancilla_roles`` is optional.
+    """
     doc = json.loads(text)
-    gates = []
-    for d in doc["gates"]:
-        angle = None
-        matrix = None
-        params = d.get("params")
-        if params:
-            angle = params[0]
-        if "matrix" in d:
-            flat = [complex(re, im) for re, im in d["matrix"]]
-            matrix = np.array(flat, dtype=complex).reshape(2, 2)
-        gates.append(Gate(d["kind"], d["qubits"], angle=angle, matrix=matrix))
-    return Circuit(doc["n"], gates)
+    if not (isinstance(doc, dict) and isinstance(doc.get("n"), int)
+            and doc["n"] >= 0 and isinstance(doc.get("gates"), list)):
+        raise ValueError("circuit JSON needs an object with an integer 'n' "
+                         ">= 0 and a 'gates' list")
+    try:
+        gates = []
+        for d in doc["gates"]:
+            params, matrix = d.get("params"), None
+            if "matrix" in d:
+                flat = [complex(re, im) for re, im in d["matrix"]]
+                matrix = np.array(flat, dtype=complex).reshape(2, 2)
+            gates.append(Gate(d["kind"], d["qubits"],
+                              angle=params[0] if params else None,
+                              matrix=matrix))
+        return Circuit(doc["n"], gates, doc.get("ancilla_roles"))
+    except (TypeError, KeyError, IndexError, AttributeError) as e:
+        raise ValueError("bad gate or role in circuit JSON: %s: %s"
+                         % (type(e).__name__, e)) from None

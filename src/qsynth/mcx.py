@@ -22,8 +22,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .ir import Circuit, Gate
 
 ANCILLA_MODES = ("clean", "dirty")
@@ -212,8 +210,6 @@ def _to_gates(tuples):
             out.append(Gate("X", (g[1],)))
         elif g[0] == 'rccx':
             out.append(Gate("RCCX", (g[1], g[2], g[3])))
-        elif g[0] == 'ccx':
-            out.append(Gate("CCX", (g[1], g[2], g[3])))
         else:  # pragma: no cover
             raise ValueError(g)
     return out
@@ -257,61 +253,3 @@ def mcx_log(spec: McxSpec) -> Circuit:
         half = stores + mid + mirror
         gates = [w] + half + [w] + half
     return Circuit(n + 2, gates, roles)
-
-
-def cnx_oracle(n) -> np.ndarray:
-    """Permutation matrix of C^nX on n+1 qubits, built by bit arithmetic.
-
-    Independent of the simulator: flips bit n of the basis index exactly
-    when bits 0..n-1 are all set (little-endian convention).
-    """
-    if n + 1 > 13:
-        raise ValueError("oracle capped at 13 qubits")
-    dim = 1 << (n + 1)
-    mask = (1 << n) - 1
-    M = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        j = i ^ (1 << n) if (i & mask) == mask else i
-        M[j, i] = 1.0
-    return M
-
-
-# ---------------------------------------------------------------------------
-# ladder primitive
-
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_T = np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex)
-_TDG = _T.conj().T
-
-# dressings in application order: A applies X, then H, then T; B applies
-# Tdg, then H (matrix products are written right-to-left)
-_LADDER_A = _T @ _H @ _X
-_LADDER_B = _H @ _TDG
-
-
-def toffoli_ladder(blocks) -> Circuit:
-    """Ladder of X-dressed relative-phase Toffoli blocks.
-
-    ``blocks`` is a list of ((control_a, control_b), target) with all
-    targets distinct.  Each block keeps 7 operations on its target line
-    (single-qubit dressings A = X.H.T and B = Tdg.H merged around the
-    3-CX core), so disjoint blocks lower to depth exactly 7.  Each block
-    equals X(target) . CCX up to a diagonal.
-    """
-    seen = set()
-    gates = []
-    hi = -1
-    for (a, b), t in blocks:
-        if t in seen:
-            raise ValueError("overlapping ladder targets")
-        seen.add(t)
-        hi = max(hi, a, b, t)
-        gates.extend([
-            Gate("U2", (t,), matrix=_LADDER_A),
-            Gate("CX", (b, t)), Gate("Tdg", (t,)),
-            Gate("CX", (a, t)), Gate("T", (t,)),
-            Gate("CX", (b, t)),
-            Gate("U2", (t,), matrix=_LADDER_B),
-        ])
-    return Circuit(hi + 1, gates)

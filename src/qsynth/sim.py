@@ -13,33 +13,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ir import Circuit, Gate, lower, _rccx_template
+from .ir import (FIXED_MATRICES as _SQ, Circuit, Gate, _rccx_template,
+                 rx_mat, ry_mat, rz_mat)
 
 UNITARY_CAP = 13
 APPLY_CAP = 22
-
-_SQ = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    "T": np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex),
-    "Tdg": np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]],
-                    dtype=complex),
-}
-
-
-def rx_mat(a):
-    c, s = math.cos(a / 2), math.sin(a / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-def ry_mat(a):
-    c, s = math.cos(a / 2), math.sin(a / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def rz_mat(a):
-    return np.array([[cmath.exp(-0.5j * a), 0], [0, cmath.exp(0.5j * a)]],
-                    dtype=complex)
 
 
 def _controlled(U):

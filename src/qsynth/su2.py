@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import Circuit, Gate, inverse, remap
+from .ir import FIXED_MATRICES, Circuit, Gate, inverse, remap
 from .mcx import McxSpec, mcx_log
 
 _SU2_TOL = 1e-10
@@ -65,13 +65,11 @@ def _principal_sqrt_su2(q):
     return np.concatenate(([t0], vec))
 
 
-X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
 def conjugation_residual(A, W):
     """Max-norm of (X A X A^dag)^2 - W, minimized over the SU(2) sign."""
     A = np.asarray(A, dtype=complex)
-    T = X_MAT @ A @ X_MAT @ A.conj().T
+    X = FIXED_MATRICES["X"]
+    T = X @ A @ X @ A.conj().T
     P = T @ T
     return min(float(np.abs(P - W).max()), float(np.abs(P + W).max()))
 

@@ -22,11 +22,6 @@ def ctrl_u(nq, ctrls, target, W):
     return M
 
 
-def cnx(nq, n, target=None):
-    """C^nX over nq qubits, controls 0..n-1, target defaults to qubit n."""
-    return ctrl_u(nq, range(n), n if target is None else target, X)
-
-
 def mcmt_oracle(nq, n, targets, Ws):
     """Product of controlled gates, one W per target, shared controls."""
     M = np.eye(1 << nq, dtype=complex)

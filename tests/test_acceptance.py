@@ -12,9 +12,10 @@ import qsynth.cli as cli
 from qsynth.approx import approx_mcu, nb_from_epsilon
 from qsynth.bench import fit_log, run_family
 from qsynth.ir import Circuit, Gate, cnot_count, depth, lower
-from qsynth.mcx import McxSpec, mcx_log, rccx, toffoli_ladder
+from qsynth.mcx import McxSpec, mcx_log, rccx
 from qsynth.sim import equiv, spectral_distance, unitary_of
 from qsynth.su2 import McmtSpec, mcmt_su2, mcmt_x
+from qsynth.verify import Verdict
 
 from conftest import X, ctrl_u, mcmt_oracle, random_su2
 
@@ -139,11 +140,6 @@ def test_rccx_primitive_pinned():
     assert r.passed, r.distance
 
 
-def test_ladder_three_targets_depth_seven():
-    c = toffoli_ladder([((0, 1), 2), ((3, 4), 5), ((6, 7), 8)])
-    assert depth(lower(c)) == 7
-
-
 def test_nb_pi_millitolerance():
     assert nb_from_epsilon(math.pi, 1e-3) == 12
 
@@ -156,6 +152,7 @@ def test_cli_verify_exit_codes(capsys, monkeypatch):
                     "--ancilla", "dirty"]) == 0
     assert cli.run(["verify", "mcx", "--controls", "0"]) == 2
     # a reported discrepancy must surface as exit code 1
-    monkeypatch.setitem(cli._VERIFY, "mcx", lambda args: ["forced failure"])
+    monkeypatch.setattr(cli, "verify_circuit",
+                        lambda c, spec: Verdict("dense", 1, ("forced",)))
     assert cli.run(["verify", "mcx", "--controls", "4"]) == 1
     capsys.readouterr()

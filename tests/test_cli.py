@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsynth.cli import parse_angle, parse_gate_spec, run, UsageError
-from qsynth.ir import cnot_count, parse_json
+from qsynth.ir import cnot_count, parse_json, report_for
 from qsynth.sim import rx_mat
 
 
@@ -23,6 +23,7 @@ def test_synth_mcx_json_report(capsys):
     c = parse_json(out)
     assert c.num_qubits == 10
     assert cnot_count(c) == 42
+    assert report_for(c).num_ancilla == 1  # the roles survive the round trip
 
 
 def test_stdout_deterministic(capsys):
@@ -93,6 +94,7 @@ def test_bench_verify_flag(capsys):
     code, _, err = invoke(capsys, "bench", "--family", "mcx_dirty",
                           "--n-min", "4", "--n-max", "6", "--verify")
     assert code == 0, err
+    assert err.count(": ok tier=dense inputs=") == 3, err
 
 
 def test_export_round_trip(tmp_path, capsys):
@@ -115,6 +117,15 @@ def test_export_missing_file(capsys):
     assert invoke(capsys, "export", "--in", "/nonexistent.json")[0] == 2
 
 
+@pytest.mark.parametrize("text", ['{"gates": []}', "[1, 2]"])
+def test_export_malformed_json_is_usage_error(tmp_path, capsys, text):
+    src = tmp_path / "bad.json"
+    src.write_text(text)
+    code, out, err = invoke(capsys, "export", "--in", str(src))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: circuit JSON needs an object")
+
+
 def test_parse_angle():
     assert parse_angle("pi/2") == pytest.approx(math.pi / 2)
     assert parse_angle("-3*pi/4") == pytest.approx(-3 * math.pi / 4)
@@ -123,6 +134,10 @@ def test_parse_angle():
         parse_angle("__import__('os')")
     with pytest.raises(UsageError):
         parse_angle("pi)(")
+    assert parse_angle("-(pi + 1) / 2") == pytest.approx(-(math.pi + 1) / 2)
+    for power in ("2**3", "pi**2"):
+        with pytest.raises(UsageError):
+            parse_angle(power)
 
 
 def test_parse_gate_spec():

@@ -154,6 +154,27 @@ def test_json_round_trip(rng):
     assert export_text(back, "json") == text
 
 
+def test_json_keeps_ancilla_roles():
+    c = Circuit(3, [Gate("CCX", (0, 1, 2))], ("none", "none", "dirty"))
+    text = export_text(c, "json")
+    assert json.loads(text)["ancilla_roles"] == ["none", "none", "dirty"]
+    assert parse_json(text) == c
+    # without the key every wire is a plain data wire
+    assert "ancilla_roles" not in export_text(Circuit(2), "json")
+    assert parse_json('{"n": 2, "gates": []}').ancilla_roles == ("none",) * 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"gates": []}', "[1, 2]", '{"n": -1, "gates": []}', '{"n": 1.5}',
+    '{"n": 2, "gates": {}}', '{"n": 2, "gates": [7]}',
+    '{"n": 2, "gates": [{"kind": "X"}]}',
+    '{"n": 2, "gates": [{"kind": "X", "qubits": 0}]}',
+    '{"n": 1, "gates": [], "ancilla_roles": "clean"}'])
+def test_parse_json_rejects_bad_shapes(text):
+    with pytest.raises(ValueError):
+        parse_json(text)
+
+
 def test_json_schema_shape():
     c = Circuit(2, [Gate("CU2", (0, 1), matrix=H)])
     d = json.loads(export_text(c, "json"))

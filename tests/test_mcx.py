@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from qsynth.ir import Circuit, Gate, cnot_count, depth, lower
-from qsynth.mcx import (McxSpec, cnx_oracle, mcx_log, rccx, toffoli_ladder,
-                        _schedule)
-from qsynth.sim import apply, equiv, random_state, rccx_matrix, unitary_of
+from qsynth.mcx import McxSpec, mcx_log, rccx, _schedule
+from qsynth.sim import apply, equiv, random_state, unitary_of
+from qsynth.verify import oracle_matrix, sparse_apply
 
-from conftest import cnx, ctrl_u, X
+from conftest import ctrl_u, X
 
 
 def test_spec_validation():
@@ -28,15 +28,11 @@ def test_rccx_primitive():
 
 def test_cnx_oracle_against_simulator():
     for n in (1, 2, 3):
-        c = Circuit(n + 1, [Gate({1: "CX", 2: "CCX"}.get(n, "CCX"),
-                                 tuple(range(n + 1)))]) \
-            if n <= 2 else None
         want = ctrl_u(n + 1, range(n), n, X)
-        assert np.abs(cnx_oracle(n) - want).max() == 0
-        if c is not None:
+        assert np.abs(oracle_matrix(n + 1, n, (X,)) - want).max() == 0
+        if n <= 2:
+            c = Circuit(n + 1, [Gate(("CX", "CCX")[n - 1], range(n + 1))])
             assert np.abs(unitary_of(c) - want).max() < 1e-13
-    with pytest.raises(ValueError):
-        cnx_oracle(13)
 
 
 @pytest.mark.parametrize("n", range(3, 41))
@@ -133,44 +129,11 @@ def test_schedules_certificate_valid_in_strict_range():
         assert valid, n
 
 
-def _rccx_diag():
-    # diagonal phase of RCCX relative to CCX, per (a, b, t) basis input
-    M = rccx_matrix()
-    d = np.empty(8, dtype=complex)
-    for i in range(8):
-        j = i ^ 1 if (i & 6) == 6 else i
-        d[i] = M[j, i]
-    return d
-
-
-def _phase_track(circ, bits, diag):
-    """Basis-state propagation with explicit phase bookkeeping.
-
-    Works at any register size; bits has shape (samples, num_qubits).
-    """
-    bits = bits.copy()
-    ph = np.ones(len(bits), dtype=complex)
-    for g in circ.gates:
-        if g.kind == "X":
-            bits[:, g.qubits[0]] ^= True
-        elif g.kind in ("CCX", "RCCX"):
-            a, b, t = g.qubits
-            if g.kind == "RCCX":
-                idx = ((bits[:, a].astype(np.int8) << 2)
-                       | (bits[:, b].astype(np.int8) << 1) | bits[:, t])
-                ph *= diag[idx]
-            bits[:, t] ^= bits[:, a] & bits[:, b]
-        else:  # pragma: no cover
-            raise ValueError(g.kind)
-    return bits, ph
-
-
 @pytest.mark.parametrize("n", [19, 23, 37, 64, 150, 256])
 def test_large_n_phase_tracking(n):
     # independent correctness oracle far beyond the dense-simulation cap:
     # on basis inputs the circuit must act as C^nX with all relative
     # phases cancelled, for any ancilla basis value in dirty mode
-    diag = _rccx_diag()
     rng = np.random.default_rng(7000 + n)
     for mode in ("clean", "dirty"):
         c = mcx_log(McxSpec(n, mode))
@@ -178,28 +141,11 @@ def test_large_n_phase_tracking(n):
         bits[:64, :n] = True  # make sure the firing branch is exercised
         if mode == "clean":
             bits[:, n + 1] = False
-        inb = bits.copy()
-        out, ph = _phase_track(c, bits, diag)
-        want = inb.copy()
-        want[:, n] ^= inb[:, :n].all(axis=1)
-        assert (out == want).all(), (n, mode)
+        want = bits.copy()
+        want[:, n] ^= bits[:, :n].all(axis=1)
+        # every gate is a phased permutation, so rows keep their order
+        out, ph, owner = sparse_apply(c, bits.T, np.ones(3000, complex),
+                                      np.arange(3000))
+        assert (owner == np.arange(3000)).all(), (n, mode)
+        assert (out.T == want).all(), (n, mode)
         assert np.abs(ph - 1).max() < 1e-9, (n, mode)
-
-
-def test_ladder_three_blocks_depth_seven():
-    c = toffoli_ladder([((0, 1), 2), ((3, 4), 5), ((6, 7), 8)])
-    assert depth(lower(c)) == 7
-
-
-def test_ladder_block_is_dressed_toffoli():
-    c = toffoli_ladder([((0, 1), 2)])
-    want = ctrl_u(3, [0, 1], 2, X) @ unitary_of(
-        Circuit(3, [Gate("X", (2,))]))
-    r = equiv(unitary_of(lower(c)), want, "diagonal", 1e-9)
-    assert r.passed, r.distance
-
-
-def test_ladder_rejects_overlapping_targets():
-    with pytest.raises(ValueError):
-        toffoli_ladder([((0, 1), 2), ((3, 4), 2)])
-    assert len(toffoli_ladder([]).gates) == 0
