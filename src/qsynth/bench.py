@@ -19,8 +19,9 @@ from .su2 import McmtSpec, baseline_counts, mcmt_su2, mcmt_x
 FAMILIES = ("mcx_clean", "mcx_dirty", "mcmt_x", "mcmt_su2", "approx_u")
 COUNT_ONLY_MAX_N = 4096
 
-_DEFAULT_W = rz_mat(math.pi / 4)
-_X = FIXED_MATRICES["X"]
+# the gate each family is built with unless ``params`` names another
+DEFAULT_GATE = {"mcmt_su2": rz_mat(math.pi / 4),
+                "approx_u": FIXED_MATRICES["X"]}
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,10 @@ def _build(family, n, m, params):
     if family == "mcmt_x":
         return mcmt_x(n, m)
     if family == "mcmt_su2":
-        W = params.get("W", _DEFAULT_W)
+        W = params.get("W", DEFAULT_GATE[family])
         return mcmt_su2(McmtSpec(n, m, (W,) * m))
     if family == "approx_u":
-        U = params.get("U", _X)
+        U = params.get("U", DEFAULT_GATE[family])
         eps = params.get("epsilon", 0.1)
         return approx_mcu(n, U, eps)[0]
     raise ValueError("unknown family %r" % (family,))
@@ -65,7 +66,7 @@ def _baselines(family, n, m, params):
         # published upper bound of the approximate scheme itself, next to
         # the linear-baseline depth for the single-target case
         from .approx import nb_from_epsilon, su2_angle
-        U = params.get("U", _X)
+        U = params.get("U", DEFAULT_GATE[family])
         eps = params.get("epsilon", 0.1)
         n_b = nb_from_epsilon(su2_angle(U)[0], eps)
         cnot = 4 * (n_b - 1) ** 2 + 24 * n - 8 * n_b - 4

@@ -18,7 +18,8 @@ import sys
 import numpy as np
 
 from .approx import approx_mcu, su2_angle
-from .bench import FAMILIES, run_family, to_csv
+from .bench import (COUNT_ONLY_MAX_N, DEFAULT_GATE, FAMILIES, run_family,
+                    to_csv)
 from .ir import (FIXED_MATRICES, export_text, parse_json, report_for, rx_mat,
                  ry_mat, rz_mat)
 from .mcx import McxSpec, mcx_log
@@ -26,8 +27,8 @@ from .su2 import McmtSpec, mcmt_su2, mcmt_x
 from .verify import Spec, verify_circuit
 
 
-class UsageError(Exception):
-    pass
+class UsageError(argparse.ArgumentTypeError):
+    """Bad input; argparse reports it when an argument's type raises it."""
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +83,14 @@ def _matrix_from_json(data):
     return M
 
 
+def size(text):
+    """A register size argument, at most COUNT_ONLY_MAX_N."""
+    n = int(text)
+    if n > COUNT_ONLY_MAX_N:
+        raise UsageError("%d is above the size cap %d" % (n, COUNT_ONLY_MAX_N))
+    return n
+
+
 def parse_gate_spec(text):
     """--gate argument: x, z, s, t, h, rx(a)/ry(a)/rz(a), or a JSON matrix."""
     s = (text or "").strip()
@@ -116,14 +125,14 @@ def _build_mcmt_x(args):
 
 def _build_mcmt_su2(args):
     # multi-target SU(2) synthesis works up to the global phase
-    U = parse_gate_spec(args.gate)
+    U = args.gate
     ws = (U * cmath.exp(-1j * su2_angle(U)[1]),) * args.targets
     c = mcmt_su2(McmtSpec(args.controls, args.targets, ws))
     return c, Spec("mcmt-su2", args.controls, ws), None
 
 
 def _build_approx_u(args):
-    U = parse_gate_spec(args.gate)
+    U = args.gate
     c, params, rep = approx_mcu(args.controls, U, args.epsilon, args.n_b)
     return c, Spec("approx-u", args.controls, (U,), epsilon=args.epsilon,
                    n_b=params.n_b), rep
@@ -186,9 +195,10 @@ def cmd_bench(args):
                              % (r.n, r.cnot, r.baseline_cnot))
             code = 1
     if args.verify:
+        # the gate bench itself builds each family with
         vargs = argparse.Namespace(ancilla="clean", targets=args.m,
-                                   gate="rz(pi/4)", epsilon=args.epsilon
-                                   or 0.1, n_b=None)
+                                   gate=DEFAULT_GATE.get(args.family),
+                                   epsilon=args.epsilon or 0.1, n_b=None)
         vargs.target = {"mcx_clean": "mcx", "mcx_dirty": "mcx",
                         "mcmt_x": "mcmt-x", "mcmt_su2": "mcmt-su2",
                         "approx_u": "approx-u"}[args.family]
@@ -214,14 +224,14 @@ def cmd_export(args):
 # argument plumbing
 
 def _add_synth_flags(sub, target):
-    sub.add_argument("--controls", type=int, required=True, metavar="N")
+    sub.add_argument("--controls", type=size, required=True, metavar="N")
     if target == "mcx":
         sub.add_argument("--ancilla", choices=("clean", "dirty"),
                          default="clean")
     if target in ("mcmt-x", "mcmt-su2"):
         sub.add_argument("--targets", type=int, required=True, metavar="M")
     if target in ("mcmt-su2", "approx-u"):
-        sub.add_argument("--gate", required=True,
+        sub.add_argument("--gate", type=parse_gate_spec, required=True,
                          help="x, z, s, t, h, rx(a), ry(a), rz(a) with pi "
                               "literal, or a JSON 2x2 matrix")
     if target == "approx-u":
@@ -248,8 +258,8 @@ def build_parser():
 
     bp = cmds.add_parser("bench")
     bp.add_argument("--family", choices=FAMILIES, required=True)
-    bp.add_argument("--n-min", dest="n_min", type=int, required=True)
-    bp.add_argument("--n-max", dest="n_max", type=int, required=True)
+    bp.add_argument("--n-min", dest="n_min", type=size, required=True)
+    bp.add_argument("--n-max", dest="n_max", type=size, required=True)
     bp.add_argument("--step", type=int, default=1)
     bp.add_argument("--m", type=int, default=1)
     bp.add_argument("--epsilon", type=float, default=None)

@@ -7,7 +7,8 @@ tier the register size selects:
 
 - dense (at most 11 qubits): the lowered circuit's unitary against the
   oracle matrix;
-- spot (12 to 18 qubits): seeded statevectors through the lowered circuit;
+- spot (12 to 18 qubits): seeded statevectors through the lowered circuit,
+  as one stack;
 - sparse (more than 18 qubits): near-firing inputs through a basis-index ->
   amplitude simulator (Jaques & Haner, arXiv:2105.01533), vectorised over
   the inputs.  It runs the macro gates with the dense simulator's own
@@ -176,7 +177,8 @@ def _dense(c, spec):
 
 
 def _spot(c, spec):
-    """Seeded statevectors through the lowered circuit, one at a time."""
+    """Seeded statevectors through the lowered circuit as one stack of
+    columns."""
     n, m, nq = spec.n, len(spec.ws), c.num_qubits
     rng = np.random.default_rng(_SPOT_SEED)
     if spec.target == "mcx":
@@ -186,24 +188,26 @@ def _spot(c, spec):
         inputs = [((int(rng.integers(2)) if spec.ancilla == "dirty" else 0)
                    << (n + 1), np.arange(1 << (n + 1)), psi) for psi in psis]
     else:
-        # basis-valued controls and a random target state, drawn as each
-        # check runs; these checks align one phase per input
-        inputs = [(pat, np.arange(1 << m) << n, None) for pat in
-                  [(1 << n) - 1] + [int(rng.integers(1 << n) & ((1 << n) - 2))
-                                    for _ in range(5)]]
-    low = lower(c)
-    tol = _TOL if spec.epsilon is None else spec.epsilon
+        # basis-valued controls and a random target state; these checks
+        # align one phase per input
+        inputs = [(pat, np.arange(1 << m) << n, random_state(m, rng))
+                  for pat in [(1 << n) - 1] + [
+                      int(rng.integers(1 << n) & ((1 << n) - 2))
+                      for _ in range(5)]]
+    cols = np.zeros((1 << nq, len(inputs)), dtype=complex)
     for i, (base, idx, psi) in enumerate(inputs):
-        full = np.zeros(1 << nq, dtype=complex)
-        full[base + idx] = random_state(m, rng) if psi is None else psi
-        out, want = apply(low, full), apply_oracle(full, n, spec.ws)
-        k = int(np.abs(want).argmax())
-        if psi is None and abs(out[k]) > 1e-12:
-            out = out * np.exp(-1j * np.angle(out[k] / want[k]))
-        d = float(np.abs(out - want).max())
-        if d > tol:
-            return len(inputs), ["spot check distance %.3e (input %d)"
-                                 % (d, i)]
+        cols[base + idx, i] = psi
+    out, want = apply(lower(c), cols), apply_oracle(cols, n, spec.ws)
+    if spec.target != "mcx":
+        at = np.abs(want).argmax(axis=0), np.arange(len(inputs))
+        phase = np.exp(-1j * np.angle(out[at] / want[at]))
+        out = out * np.where(np.abs(out[at]) > 1e-12, phase, 1)
+    tol = _TOL if spec.epsilon is None else spec.epsilon
+    d = np.abs(out - want).max(axis=0)
+    bad = np.flatnonzero(d > tol)
+    if bad.size:
+        return len(inputs), ["spot check distance %.3e (input %d)"
+                             % (d[bad[0]], bad[0])]
     return len(inputs), []
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qsynth.ir import ANGLE_KINDS, ARITY, MATRIX_KINDS, Circuit, Gate
+
 # ---------------------------------------------------------------------------
 # independent oracles: plain index arithmetic, no circuit machinery involved
 
@@ -36,6 +38,16 @@ def random_su2(rng):
     q /= np.linalg.norm(q)
     return np.array([[q[0] - 1j * q[3], -q[2] - 1j * q[1]],
                      [q[2] - 1j * q[1], q[0] + 1j * q[3]]], dtype=complex)
+
+
+def random_circuit(nq, rng, copies=4):
+    """Every gate kind that fits on nq wires, ``copies`` times, on random
+    wires in random order."""
+    kinds = [k for k in ARITY if ARITY[k] <= nq] * copies
+    return Circuit(nq, [Gate(k, rng.choice(nq, ARITY[k], replace=False),
+                             angle=rng.normal() if k in ANGLE_KINDS else None,
+                             matrix=random_su2(rng) if k in MATRIX_KINDS
+                             else None) for k in rng.permutation(kinds)])
 
 
 @pytest.fixture

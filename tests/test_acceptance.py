@@ -15,7 +15,7 @@ from qsynth.ir import Circuit, Gate, cnot_count, depth, lower
 from qsynth.mcx import McxSpec, mcx_log, rccx
 from qsynth.sim import equiv, spectral_distance, unitary_of
 from qsynth.su2 import McmtSpec, mcmt_su2, mcmt_x
-from qsynth.verify import Verdict
+from qsynth.verify import Spec, Verdict, verify_circuit
 
 from conftest import X, ctrl_u, mcmt_oracle, random_su2
 
@@ -114,6 +114,14 @@ def test_approx_eps_005_n12_count_only():
     c12 = _approx_point(12, 0.05, simulate=False)
     c13 = _approx_point(13, 0.05, simulate=False)
     assert c13 - c12 == 24
+
+
+def test_approx_eps_005_n12_spot_check():
+    # the 13-qubit point above, through the spot tier's seeded states
+    c, params, _ = approx_mcu(12, X, 0.05)
+    v = verify_circuit(c, Spec("approx-u", 12, (X,), epsilon=0.05,
+                               n_b=params.n_b))
+    assert (v.tier, v.inputs, v.fails) == ("spot", 6, ()), v
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+import qsynth.cli as cli
 from qsynth.cli import parse_angle, parse_gate_spec, run, UsageError
 from qsynth.ir import cnot_count, parse_json, report_for
 from qsynth.sim import rx_mat
+from qsynth.verify import Verdict
 
 
 def invoke(capsys, *argv):
@@ -95,6 +98,32 @@ def test_bench_verify_flag(capsys):
                           "--n-min", "4", "--n-max", "6", "--verify")
     assert code == 0, err
     assert err.count(": ok tier=dense inputs=") == 3, err
+
+
+@pytest.mark.parametrize("family", ["approx_u", "mcmt_su2"])
+def test_bench_verify_checks_the_row_circuit(capsys, monkeypatch, family):
+    seen = []
+
+    def record(c, spec):
+        seen.append(cnot_count(c))
+        return Verdict("dense", 1, ())
+    monkeypatch.setattr(cli, "verify_circuit", record)
+    n = "10" if family == "approx_u" else "4"
+    code, out, _ = invoke(capsys, "bench", "--family", family,
+                          "--n-min", n, "--n-max", n, "--verify")
+    assert code == 0
+    assert seen == [int(out.splitlines()[1].split(",")[3])]
+
+
+def test_size_cap_is_checked_while_parsing(capsys):
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, "synth", "mcx", "--controls", "4097")
+    assert (code, out) == (2, "")
+    assert time.perf_counter() - t0 < 1
+    assert "above the size cap 4096" in err
+    assert invoke(capsys, "verify", "mcx", "--controls", "4097")[0] == 2
+    assert invoke(capsys, "bench", "--family", "mcx_clean", "--n-min", "3",
+                  "--n-max", "4097")[0] == 2
 
 
 def test_export_round_trip(tmp_path, capsys):

@@ -6,7 +6,7 @@ from qsynth.sim import (apply, equiv, gate_matrix, random_state,
                         rx_mat, ry_mat, rz_mat, spectral_distance,
                         unitary_of)
 
-from conftest import H, X, ctrl_u, random_su2
+from conftest import H, X, ctrl_u, random_circuit, random_su2
 
 
 def test_x_on_single_qubit():
@@ -133,3 +133,39 @@ def test_gate_matrix_first_operand_msb():
     assert np.array_equal(M, np.array([[1, 0, 0, 0], [0, 1, 0, 0],
                                        [0, 0, 0, 1], [0, 0, 1, 0]],
                                       dtype=complex))
+
+
+def _embedded(g, n):
+    """One gate's 2^n x 2^n matrix, by index arithmetic."""
+    M, k = gate_matrix(g), len(g.qubits)
+    col = np.arange(1 << n)
+    local = sum(((col >> q) & 1) << (k - 1 - i)
+                for i, q in enumerate(g.qubits))
+    rest = col & ~sum(1 << q for q in g.qubits)
+    E = np.zeros((1 << n, 1 << n), dtype=complex)
+    for out in range(1 << k):
+        row = rest | sum(((out >> (k - 1 - i)) & 1) << q
+                         for i, q in enumerate(g.qubits))
+        E[row, col] = M[out, local]
+    return E
+
+
+@pytest.mark.parametrize("nq, seed", [(6, 0), (7, 1), (8, 2), (8, 3)])
+def test_fused_unitary_matches_unfused_product(nq, seed):
+    # the unfused reference: the ordered product of every gate's embedding;
+    # more than 5 wires, so the fused blocks must split
+    c = random_circuit(nq, np.random.default_rng(seed))
+    want = np.eye(1 << nq, dtype=complex)
+    for g in c.gates:
+        want = _embedded(g, nq) @ want
+    assert np.abs(unitary_of(c) - want).max() <= 1e-12
+
+
+def test_apply_on_a_stack_of_states(rng):
+    c = random_circuit(7, rng, copies=2)
+    stack = np.stack([random_state(7, rng) for _ in range(5)], axis=1)
+    want = np.stack([apply(c, psi) for psi in stack.T], axis=1)
+    assert np.abs(apply(c, stack) - want).max() < 1e-12
+    for shape in ((127, 3), (3, 128), (128, 3, 1), ()):
+        with pytest.raises(ValueError):
+            apply(c, np.zeros(shape, dtype=complex))

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import qsynth.cli as cli
-from qsynth.ir import ANGLE_KINDS, ARITY, MATRIX_KINDS, Circuit, Gate
+from qsynth.ir import Circuit, Gate
 from qsynth.mcx import McxSpec, mcx_log
 from qsynth.sim import apply, random_state
-from qsynth.verify import oracle_matrix, sparse_apply
+from qsynth.su2 import mcmt_x
+from qsynth.verify import Spec, oracle_matrix, sparse_apply, verify_circuit
 
-from conftest import X, mcmt_oracle, random_su2
+from conftest import X, mcmt_oracle, random_circuit, random_su2
 
 
 def test_oracle_matches_reference(rng):
@@ -23,11 +24,7 @@ def test_oracle_matches_reference(rng):
 
 @pytest.mark.parametrize("nq", [3, 5, 8])
 def test_sparse_apply_matches_dense(nq, rng):
-    kinds = [k for k in ARITY if ARITY[k] <= nq] * 4
-    c = Circuit(nq, [Gate(k, rng.choice(nq, ARITY[k], replace=False),
-                          angle=rng.normal() if k in ANGLE_KINDS else None,
-                          matrix=random_su2(rng) if k in MATRIX_KINDS
-                          else None) for k in rng.permutation(kinds)])
+    c = random_circuit(nq, rng)
     # a basis input and a random state, told apart by their owners
     psis = [np.eye(1 << nq)[5], random_state(nq, rng)]
     flat = np.concatenate([[5], np.arange(1 << nq)])
@@ -53,6 +50,34 @@ def test_sparse_tier_catches_a_retargeted_store(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "verify mcx: FAIL tier=sparse inputs=" in err
     assert "cnot count" not in err
+
+
+def test_spot_tier_catches_a_retargeted_store(capsys, monkeypatch):
+    # the store X(8), RCCX(10, 11, 8) and its mirror image moved onto
+    # wire 12: same CX count, wrong circuit, in the spot tier's range
+    good = mcx_log(McxSpec(13, "clean"))
+    gates = list(good.gates)
+    assert [gates[i].qubits[-1] for i in (9, 10)] == [8, 8]
+    for i in (9, 10, len(gates) - 10, len(gates) - 11):
+        gates[i] = Gate(gates[i].kind, gates[i].qubits[:-1] + (12,))
+    bad = Circuit(good.num_qubits, gates, good.ancilla_roles)
+    monkeypatch.setattr(cli, "mcx_log", lambda spec: bad)
+    assert cli.run(["verify", "mcx", "--controls", "13"]) == 1
+    err = capsys.readouterr().err
+    assert "verify mcx: FAIL tier=spot inputs=8: spot check distance" in err
+    assert "(input 0)" in err and "cnot count" not in err
+
+
+def test_spot_tier_names_the_first_failing_input():
+    # X(0) CX(0, 11) X(0) flips a target whenever control 0 is clear: the
+    # firing input 0 passes, the five drawn inputs (control 0 clear) fail
+    good = mcmt_x(11, 2)
+    bad = Circuit(good.num_qubits, good.gates + (
+        Gate("X", (0,)), Gate("CX", (0, 11)), Gate("X", (0,))))
+    v = verify_circuit(bad, Spec("mcmt-x", 11, (X, X), "clean"))
+    assert (v.tier, v.inputs) == ("spot", 6)
+    assert v.fails[-1].startswith("spot check distance")
+    assert v.fails[-1].endswith("(input 1)")
 
 
 @pytest.mark.parametrize("argv, tier", [
