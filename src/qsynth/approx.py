@@ -83,7 +83,7 @@ def _mat_power(U, p):
 # ---------------------------------------------------------------------------
 # column ladder
 
-def _column(gates, U, targs, control, mid, inv, roots, skip_root=False):
+def _column(gates, U, targs, control, mid, inv, roots):
     """One ladder column: rotations on all but the last wire, then either a
     controlled root of U or one more rotation, all sharing one control."""
     k = 0 if mid else 1
@@ -93,20 +93,18 @@ def _column(gates, U, targs, control, mid, inv, roots, skip_root=False):
                           matrix=rx_mat(math.pi / (s * (1 << k)))))
         k += 1
     if roots:
-        if not skip_root:
-            gates.append(Gate("CU2", (control, targs[-1]),
-                              matrix=_mat_power(U, 1.0 / (s * (1 << k)))))
+        gates.append(Gate("CU2", (control, targs[-1]),
+                          matrix=_mat_power(U, 1.0 / (s * (1 << k)))))
     else:
         gates.append(Gate("CU2", (control, targs[-1]),
                           matrix=rx_mat(math.pi / (s * (1 << k)))))
 
 
-def _ladder(gates, U, controls, targ, first, mid_hook=None, drop_root=False):
+def _ladder(gates, U, controls, targ, first, mid_hook=None):
     """Column ladder of the exact scheme over ``controls`` onto ``targ``.
 
     ``mid_hook``, when given, receives (inverse_flag) and emits the middle
-    column itself (used to splice in the promoted multi-target blocks);
-    ``drop_root`` removes the deepest root gate of the middle column.
+    column itself (used to splice in the promoted multi-target blocks).
     """
     nc = len(controls)
     for k in range(nc - 1):
@@ -116,13 +114,13 @@ def _ladder(gates, U, controls, targ, first, mid_hook=None, drop_root=False):
         mid_hook(not first)
     else:
         _column(gates, U, controls[1:] + [targ], controls[0], True,
-                not first, first, skip_root=drop_root and first)
+                not first, first)
     for k in range(nc - 2, -1, -1):
         _column(gates, U, controls[nc - k:] + [targ], controls[-1 - k],
                 False, True, first)
     if first:
         _ladder(gates, U, controls[:-1], controls[-1], False,
-                mid_hook=mid_hook, drop_root=drop_root)
+                mid_hook=mid_hook)
 
 
 def _exact_mcu(n, U) -> Circuit:

@@ -207,13 +207,6 @@ class DecompReport:
             raise ValueError("depth exceeds gate count")
 
 
-def compose(c1: Circuit, c2: Circuit) -> Circuit:
-    """Concatenate two circuits over the same register (c1 first)."""
-    if c1.num_qubits != c2.num_qubits:
-        raise ValueError("register size mismatch")
-    return Circuit(c1.num_qubits, c1.gates + c2.gates, c1.ancilla_roles)
-
-
 def remap(circuit: Circuit, mapping, num_qubits, ancilla_roles=None) -> Circuit:
     """Embed a circuit into a larger register via a qubit-index map."""
     gates = [Gate(g.kind, tuple(mapping[q] for q in g.qubits),

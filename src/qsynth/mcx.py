@@ -1,24 +1,24 @@
-"""Log-depth multi-controlled X with one clean or one dirty ancilla.
+"""Multi-controlled X with one clean or one dirty ancilla.
 
 Register layout (fixed): controls ``[0..n)``, target ``n``, ancilla ``n+1``.
 
 The construction stores pairwise ANDs of controls into already-freed control
-wires using relative-phase Toffolis, in waves whose free-slot supply doubles
-each round, so the dependency depth is logarithmic while the lowered CX count
-stays at ``6n - 6`` (clean) / ``12n - 18`` (dirty).
+wires using relative-phase Toffolis, keeping the lowered CX count at
+``6n - 6`` (clean) / ``12n - 18`` (dirty).
 
 Each store writes ``not(host) xor (u and v)`` onto a host wire.  A host is
 only safe if the values its current contents depend on ("certificate") are
-disjoint from the operands being merged; the scheduler tracks certificates
-explicitly and retries seeds until a certificate-valid schedule exists,
-falling back to a count-preserving best-effort schedule for registers far
-beyond the verification range.  Correctness is asserted end to end by the
-dense-simulation oracle and by exhaustive truth tables in the test suite,
-never assumed from the schedule alone.
+disjoint from the operands being merged.  The scheduler tracks certificates
+explicitly and makes one deterministic pass per n, with no seeds and no
+retries.  Up to ``STRICT_MAX_N`` the pass is strict and raises if its
+schedule is not certificate-valid; those schedules are long boot chains, so
+the clean depth is about 11n (176 at n = 16, 318 at n = 29), not
+logarithmic.  Above ``STRICT_MAX_N`` a best-effort pass keeps the count and
+a logarithmic depth, but its circuits are wrong on some near-firing inputs
+and ``qsynth verify`` reports FAIL for them.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,47 +40,51 @@ class McxSpec:
             raise ValueError("ancilla_mode must be clean or dirty")
 
 
-def rccx() -> Circuit:
-    """Relative-phase Toffoli on qubits (0, 1, 2): controls 0,1, target 2."""
-    return Circuit(3, [Gate("RCCX", (0, 1, 2))])
-
-
 # ---------------------------------------------------------------------------
 # wave scheduler
 #
 # qubits: c0=0, c1=1, raw controls 2..n-1, target n, ancilla n+1
 # value id 0 = the AND stored on the ancilla; stores are numbered from 1
 
+# Largest n whose strict pass at the K chosen by _schedule is
+# certificate-valid; above it the best-effort pass is kept, byte for byte,
+# until a constructive schedule replaces it.
+STRICT_MAX_N = 29
 
-def _attempt(n, K, seed=None, strict=True):
-    """One scheduling attempt.  Returns (stores, f, valid).
 
-    ``stores`` is the gate-tuple list computing the conjunction tree,
-    ``f`` the wire holding the AND of controls 2..n-1 afterwards.  In
-    strict mode the attempt returns (None, None, False) when no
-    certificate-valid host exists for a needed merge; otherwise it spends
+def _attempt(n, K, strict=True):
+    """One deterministic scheduling pass.  Returns (gates, f, valid).
+
+    ``gates`` is the X/RCCX list computing the conjunction tree, ``f`` the
+    wire holding the AND of controls 2..n-1 afterwards.  The pass first
+    builds a boot chain of ``K`` links from the first anchor, then merges
+    the remaining raw controls in waves, then folds the chain top-down
+    onto the second anchor.  A wave only hosts on slots freed in earlier
+    waves, and every host is the free slot with the smallest certificate
+    that shares no value with the operands.  The chain is sequential: with
+    the K that ``_schedule`` passes up to ``STRICT_MAX_N`` it holds most
+    controls, so the depth grows linearly; only the waves are
+    logarithmic.
+
+    In strict mode the pass returns (None, None, False) when no
+    certificate-valid host exists for a needed merge.  Otherwise it spends
     the least-conflicting host and keeps going, which preserves the gate
-    count but may leave the schedule invalid.
-
-    Merges run in waves: a wave only hosts on slots freed in earlier
-    waves, so the freed-slot supply doubles each wave and the dependency
-    depth of the whole network stays logarithmic in n.
+    count but may leave the schedule invalid (``valid`` False).
     """
-    rng = random.Random(seed) if seed is not None else None
     raws = list(range(2, n))
     m = len(raws)
     gates = []
     nid = [1]
     pool = []      # free host slots: [qubit, cert(set of live ids), birth wave]
-    reserve = []   # boot-chain spares; certificates stable while the chain lives
+    reserve = []   # boot-chain spares; certificates name only chain values
     valid = [True]
     rnd = [0]
 
     def store(u, v, slot):
         sid = nid[0]
         nid[0] += 1
-        gates.append(('x', slot[0]))
-        gates.append(('rccx', u[1], v[1], slot[0]))
+        gates.append(Gate("X", (slot[0],)))
+        gates.append(Gate("RCCX", (u[1], v[1], slot[0])))
         newcert = {sid} | slot[1]
         uv = {x for x in (u[0], v[0]) if x is not None}
         if slot[1] & uv:
@@ -89,9 +93,6 @@ def _attempt(n, K, seed=None, strict=True):
             pool.append([q[1], set(newcert), rnd[0]])
         if uv:
             for s in pool:
-                if s[1] & uv:
-                    s[1] = (s[1] - uv) | newcert
-            for s in reserve:
                 if s[1] & uv:
                     s[1] = (s[1] - uv) | newcert
         return (sid, slot[0])
@@ -125,8 +126,6 @@ def _attempt(n, K, seed=None, strict=True):
         good = [p for p, s in enumerate(pool)
                 if s[2] < rnd[0] and not (s[1] & uv)]
         if good:
-            if rng is not None:
-                return rng.choice(good)
             return min(good, key=lambda p: len(pool[p][1]))
         if strict:
             return None
@@ -141,8 +140,6 @@ def _attempt(n, K, seed=None, strict=True):
         rnd[0] += 1
         nxt = []
         pending = list(vals)
-        if rng is not None:
-            rng.shuffle(pending)
         while len(pending) > 1:
             u = pending.pop(0)
             hit = None
@@ -188,31 +185,18 @@ def _attempt(n, K, seed=None, strict=True):
 
 @lru_cache(maxsize=None)
 def _schedule(n):
-    """Deterministic schedule for n >= 4: (stores, f_wire, valid)."""
-    m = n - 2
-    b = m.bit_length()
-    if n <= 40:
-        ks = [b, b + 1, max(1, b - 1)] + list(range(b + 2, b + 7))
-        tries = [(K, None) for K in ks]
-        tries += [(K, s) for s in range(40) for K in (b, b + 1, b + 3)]
-        for K, seed in tries:
-            out = _attempt(n, K, seed, strict=True)
-            if out[0] is not None:
-                return tuple(out[0]), out[1], out[2]
-    out = _attempt(n, b + 1, None, strict=False)
-    return tuple(out[0]), out[1], out[2]
+    """The schedule for n >= 4: (gates, f_wire, valid).
 
-
-def _to_gates(tuples):
-    out = []
-    for g in tuples:
-        if g[0] == 'x':
-            out.append(Gate("X", (g[1],)))
-        elif g[0] == 'rccx':
-            out.append(Gate("RCCX", (g[1], g[2], g[3])))
-        else:  # pragma: no cover
-            raise ValueError(g)
-    return out
+    Up to ``STRICT_MAX_N`` this is one strict pass, and an invalid result
+    raises.  Above it, one best-effort pass whose ``valid`` is False.
+    """
+    b = (n - 2).bit_length()
+    strict = n <= STRICT_MAX_N
+    K = max(b, n // 2 - 3) if strict else b + 1
+    gates, f, valid = _attempt(n, K, strict)
+    if strict and not valid:
+        raise RuntimeError("no certificate-valid mcx schedule for n=%d" % n)
+    return tuple(gates), f, valid
 
 
 def _roles(n, mode):
@@ -237,19 +221,10 @@ def mcx_log(spec: McxSpec) -> Circuit:
         return Circuit(n + 2, [Gate("CCX", (0, 1, t))], roles)
 
     w = Gate("RCCX", (0, 1, anc))
-    if n == 3:
-        stores, f = [], 2
-    else:
-        tuples, f, _valid = _schedule(n)
-        stores = _to_gates(tuples)
+    stores, f = ((), 2) if n == 3 else _schedule(n)[:2]
 
     # M flips the target iff ancilla AND all raw controls fire; the store
     # mirror is its own adjoint gate-for-gate (X and RCCX are involutions)
-    mirror = stores[::-1]
-    mid = [Gate("CCX", (anc, f, t))]
-    if mode == "clean":
-        gates = [w] + stores + mid + mirror + [w]
-    else:
-        half = stores + mid + mirror
-        gates = [w] + half + [w] + half
+    half = [*stores, Gate("CCX", (anc, f, t)), *stores[::-1]]
+    gates = [w, *half, w] if mode == "clean" else [w, *half, w, *half]
     return Circuit(n + 2, gates, roles)

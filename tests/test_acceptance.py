@@ -12,7 +12,7 @@ import qsynth.cli as cli
 from qsynth.approx import approx_mcu, nb_from_epsilon
 from qsynth.bench import fit_log, run_family
 from qsynth.ir import Circuit, Gate, cnot_count, depth, lower
-from qsynth.mcx import McxSpec, mcx_log, rccx
+from qsynth.mcx import McxSpec, mcx_log
 from qsynth.sim import equiv, spectral_distance, unitary_of
 from qsynth.su2 import McmtSpec, mcmt_su2, mcmt_x
 from qsynth.verify import Spec, Verdict, verify_circuit
@@ -141,7 +141,7 @@ def test_depth_scaling_fit():
 # 5. primitive checks
 
 def test_rccx_primitive_pinned():
-    c = lower(rccx())
+    c = lower(Circuit(3, [Gate("RCCX", (0, 1, 2))]))
     assert sum(1 for g in c.gates if g.kind == "CX") == 3
     ccx = unitary_of(Circuit(3, [Gate("CCX", (0, 1, 2))]))
     r = equiv(unitary_of(c), ccx, "diagonal", TOL_DIAG)

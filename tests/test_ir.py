@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from qsynth.ir import (Circuit, Gate, cnot_count, compose, count_gates,
-                       depth, export_text, inverse, lower, parse_json,
-                       remap, report_for)
+from qsynth.ir import (Circuit, Gate, cnot_count, count_gates, depth,
+                       export_text, inverse, lower, parse_json, remap,
+                       report_for)
 from qsynth.sim import rz_mat, unitary_of
 
 from conftest import H, X, random_su2
@@ -124,10 +124,8 @@ def test_inverse_reverses_adjoints(rng):
     assert np.abs(unitary_of(ic) - M.conj().T).max() < 1e-12
 
 
-def test_compose_and_remap():
+def test_remap():
     a = Circuit(2, [Gate("CX", (0, 1))])
-    b = Circuit(2, [Gate("H", (0,))])
-    assert [g.kind for g in compose(a, b).gates] == ["CX", "H"]
     r = remap(a, {0: 2, 1: 0}, 3)
     assert r.num_qubits == 3
     assert r.gates[0].qubits == (2, 0)

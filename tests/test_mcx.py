@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from qsynth.ir import Circuit, Gate, cnot_count, depth, lower
-from qsynth.mcx import McxSpec, mcx_log, rccx, _schedule
+from qsynth.mcx import STRICT_MAX_N, McxSpec, mcx_log, _schedule
 from qsynth.sim import apply, equiv, random_state, unitary_of
-from qsynth.verify import oracle_matrix, sparse_apply
+from qsynth.verify import Spec, _sparse, oracle_matrix, sparse_apply
 
 from conftest import ctrl_u, X
 
@@ -17,7 +17,7 @@ def test_spec_validation():
 
 
 def test_rccx_primitive():
-    c = rccx()
+    c = Circuit(3, [Gate("RCCX", (0, 1, 2))])
     low = lower(c)
     assert cnot_count(c) == 3
     assert sum(1 for g in low.gates if g.kind == "CX") == 3
@@ -121,12 +121,22 @@ def test_depth_is_logarithmic():
 
 
 def test_schedules_certificate_valid_in_strict_range():
-    # beyond this range the scheduler falls back to a best-effort schedule
-    # whose certificate is conservative; correctness there is covered by
-    # the phase-tracking checks below
-    for n in range(4, 30):
+    # beyond STRICT_MAX_N the scheduler emits a best-effort schedule that is
+    # known to be wrong on near-firing inputs (verify reports FAIL); the
+    # random inputs of test_large_n_phase_tracking almost never reach them
+    for n in range(4, STRICT_MAX_N + 1):
         _stores, _f, valid = _schedule(n)
         assert valid, n
+
+
+@pytest.mark.parametrize("mode", ["clean", "dirty"])
+def test_near_firing_inputs_in_strict_range(mode):
+    # the sparse tier's structured inputs: the firing pattern, every one-
+    # and two-cleared pattern, and both ancilla values in dirty mode
+    for n in range(1, STRICT_MAX_N + 1):
+        c = mcx_log(McxSpec(n, mode))
+        inputs, fails = _sparse(c, Spec("mcx", n, (X,), mode))
+        assert inputs > n and not fails, (n, fails)
 
 
 @pytest.mark.parametrize("n", [19, 23, 37, 64, 150, 256])
