@@ -13,8 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .ir import Circuit, DecompReport, Gate, inverse, remap, report_for
 from .sim import rx_mat
 from .su2 import McmtSpec, mcmt_su2
@@ -45,7 +44,9 @@ def su2_angle(U):
     SU(2) with eigenvalues e^{-+ i theta/2}, theta in [0, 2 pi).
     """
     U = np.asarray(U, dtype=complex)
-    if U.shape != (2, 2) or np.abs(U.conj().T @ U - np.eye(2)).max() > 1e-10:
+    # written so that NaN fails it
+    if U.shape != (2, 2) or \
+            not np.abs(U.conj().T @ U - np.eye(2)).max() <= 1e-10:
         raise ValueError("expected a 2x2 unitary")
     det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
     alpha = cmath.phase(det) / 2.0

@@ -9,19 +9,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .approx import approx_mcu
-from .ir import FIXED_MATRICES, cnot_count, depth, lower, rz_mat
+from .ir import cnot_count, depth, fixed_matrix, lower, rz_mat
 from .mcx import McxSpec, mcx_log
 from .su2 import McmtSpec, baseline_counts, mcmt_su2, mcmt_x
 
 FAMILIES = ("mcx_clean", "mcx_dirty", "mcmt_x", "mcmt_su2", "approx_u")
 COUNT_ONLY_MAX_N = 4096
 
-# the gate each family is built with unless ``params`` names another
-DEFAULT_GATE = {"mcmt_su2": rz_mat(math.pi / 4),
-                "approx_u": FIXED_MATRICES["X"]}
+
+def default_gate(family):
+    """The gate ``family`` is built with unless ``params`` names another;
+    None for the families that take no gate."""
+    if family == "mcmt_su2":
+        return rz_mat(math.pi / 4)
+    if family == "approx_u":
+        return fixed_matrix("X")
+    return None
 
 
 @dataclass(frozen=True)
@@ -44,10 +49,10 @@ def _build(family, n, m, params):
     if family == "mcmt_x":
         return mcmt_x(n, m)
     if family == "mcmt_su2":
-        W = params.get("W", DEFAULT_GATE[family])
+        W = params["W"] if "W" in params else default_gate(family)
         return mcmt_su2(McmtSpec(n, m, (W,) * m))
     if family == "approx_u":
-        U = params.get("U", DEFAULT_GATE[family])
+        U = params["U"] if "U" in params else default_gate(family)
         eps = params.get("epsilon", 0.1)
         return approx_mcu(n, U, eps)[0]
     raise ValueError("unknown family %r" % (family,))
@@ -66,7 +71,7 @@ def _baselines(family, n, m, params):
         # published upper bound of the approximate scheme itself, next to
         # the linear-baseline depth for the single-target case
         from .approx import nb_from_epsilon, su2_angle
-        U = params.get("U", DEFAULT_GATE[family])
+        U = params["U"] if "U" in params else default_gate(family)
         eps = params.get("epsilon", 0.1)
         n_b = nb_from_epsilon(su2_angle(U)[0], eps)
         cnot = 4 * (n_b - 1) ** 2 + 24 * n - 8 * n_b - 4

@@ -15,13 +15,12 @@ import operator
 import re
 import sys
 
-import numpy as np
-
+from ._np import np
 from .approx import approx_mcu, su2_angle
-from .bench import (COUNT_ONLY_MAX_N, DEFAULT_GATE, FAMILIES, run_family,
+from .bench import (COUNT_ONLY_MAX_N, FAMILIES, default_gate, run_family,
                     to_csv)
-from .ir import (FIXED_MATRICES, export_text, parse_json, report_for, rx_mat,
-                 ry_mat, rz_mat)
+from .ir import (export_text, fixed_matrix, lower, parse_json, report_for,
+                 rx_mat, ry_mat, rz_mat)
 from .mcx import McxSpec, mcx_log
 from .su2 import McmtSpec, mcmt_su2, mcmt_x
 from .verify import Spec, verify_circuit
@@ -35,11 +34,11 @@ class UsageError(argparse.ArgumentTypeError):
 # gate-argument parsing
 
 _NAMED = {
-    "x": FIXED_MATRICES["X"],
-    "z": np.diag([1, -1]).astype(complex),
-    "s": np.diag([1, 1j]).astype(complex),
-    "t": FIXED_MATRICES["T"],
-    "h": FIXED_MATRICES["H"],
+    "x": lambda: fixed_matrix("X"),
+    "z": lambda: np.diag([1, -1]).astype(complex),
+    "s": lambda: np.diag([1, 1j]).astype(complex),
+    "t": lambda: fixed_matrix("T"),
+    "h": lambda: fixed_matrix("H"),
 }
 _ROT = {"rx": rx_mat, "ry": ry_mat, "rz": rz_mat}
 _ARITH = {ast.Add: operator.add, ast.Sub: operator.sub,
@@ -61,11 +60,15 @@ def _eval_angle(node):
 
 
 def parse_angle(expr):
-    """Float angle expression: numbers, ``pi``, + - * /, parentheses."""
+    """Finite float angle expression: numbers, ``pi``, + - * /,
+    parentheses."""
     try:
-        return _eval_angle(ast.parse((expr or "").strip(), mode="eval").body)
+        a = _eval_angle(ast.parse((expr or "").strip(), mode="eval").body)
     except (SyntaxError, ValueError, ZeroDivisionError, RecursionError):
         raise UsageError("bad angle expression %r" % (expr,)) from None
+    if not math.isfinite(a):
+        raise UsageError("angle %r is not finite" % (expr,))
+    return a
 
 
 def _matrix_from_json(data):
@@ -78,7 +81,9 @@ def _matrix_from_json(data):
         M = a.astype(complex)
     else:
         raise UsageError("gate matrix must be 2x2")
-    if np.abs(M.conj().T @ M - np.eye(2)).max() > 1e-10:
+    with np.errstate(invalid="ignore"):     # inf entries give NaN here
+        dev = np.abs(M.conj().T @ M - np.eye(2)).max()
+    if not dev <= 1e-10:                    # NaN fails too
         raise UsageError("gate matrix is not unitary")
     return M
 
@@ -91,12 +96,20 @@ def size(text):
     return n
 
 
+def step(text):
+    """A sweep step, at least 1."""
+    k = int(text)
+    if k < 1:
+        raise UsageError("step must be at least 1, got %d" % k)
+    return k
+
+
 def parse_gate_spec(text):
     """--gate argument: x, z, s, t, h, rx(a)/ry(a)/rz(a), or a JSON matrix."""
     s = (text or "").strip()
     low = s.lower()
     if low in _NAMED:
-        return _NAMED[low].copy()
+        return _NAMED[low]().copy()
     m = re.fullmatch(r"(rx|ry|rz)\((.*)\)", low)
     if m:
         return _ROT[m.group(1)](parse_angle(m.group(2)))
@@ -109,18 +122,21 @@ def parse_gate_spec(text):
 
 
 # ---------------------------------------------------------------------------
-# synthesis dispatch: each target builds its circuit, the spec it must meet
-# and, where the synthesizer makes one anyway, its resource report
+# synthesis dispatch: each target builds its circuit, its resource report
+# where the synthesizer makes one anyway, and a function that gives the spec
+# the circuit must meet.  Only verify calls it: the mcx and mcmt-x specs
+# hold X matrices, which synth has no use for.
 
 def _build_mcx(args):
     c = mcx_log(McxSpec(args.controls, args.ancilla))
-    return c, Spec("mcx", args.controls, (_NAMED["x"],), args.ancilla), None
+    return c, None, lambda: Spec("mcx", args.controls, (fixed_matrix("X"),),
+                                 args.ancilla)
 
 
 def _build_mcmt_x(args):
     c = mcmt_x(args.controls, args.targets)
-    return c, Spec("mcmt-x", args.controls, (_NAMED["x"],) * args.targets,
-                   "clean"), None
+    return c, None, lambda: Spec("mcmt-x", args.controls,
+                                 (fixed_matrix("X"),) * args.targets, "clean")
 
 
 def _build_mcmt_su2(args):
@@ -128,14 +144,14 @@ def _build_mcmt_su2(args):
     U = args.gate
     ws = (U * cmath.exp(-1j * su2_angle(U)[1]),) * args.targets
     c = mcmt_su2(McmtSpec(args.controls, args.targets, ws))
-    return c, Spec("mcmt-su2", args.controls, ws), None
+    return c, None, lambda: Spec("mcmt-su2", args.controls, ws)
 
 
 def _build_approx_u(args):
     U = args.gate
     c, params, rep = approx_mcu(args.controls, U, args.epsilon, args.n_b)
-    return c, Spec("approx-u", args.controls, (U,), epsilon=args.epsilon,
-                   n_b=params.n_b), rep
+    return c, rep, lambda: Spec("approx-u", args.controls, (U,),
+                                epsilon=args.epsilon, n_b=params.n_b)
 
 
 _BUILD = {
@@ -153,16 +169,23 @@ def _report_line(rep):
 
 
 def cmd_synth(args):
-    c, spec, rep = _BUILD[args.target](args)
-    sys.stdout.write(export_text(c, args.format))
-    sys.stderr.write(_report_line(rep or report_for(c, spec.ancilla)) + "\n")
+    c, rep, _spec = _BUILD[args.target](args)
+    # one lowering serves the report and an assembly export; JSON keeps
+    # the macros
+    low = lower(c) if rep is None or args.format != "json" else None
+    sys.stdout.write(export_text(c if args.format == "json" else low,
+                                 args.format))
+    if rep is None:
+        kind = next((r for r in c.ancilla_roles if r != "none"), "none")
+        rep = report_for(low, kind)
+    sys.stderr.write(_report_line(rep) + "\n")
     return 0
 
 
 def _verify(args, prefix):
     """Verify the requested circuit, print its verdict lines; 1 on FAIL."""
-    c, spec, _rep = _BUILD[args.target](args)
-    verdict = verify_circuit(c, spec)
+    c, _rep, spec = _BUILD[args.target](args)
+    verdict = verify_circuit(c, spec())
     for line in verdict.lines():
         sys.stderr.write("%s: %s\n" % (prefix, line))
     return 1 if verdict.fails else 0
@@ -176,6 +199,9 @@ def cmd_verify(args):
 # bench + export
 
 def cmd_bench(args):
+    if args.n_min > args.n_max:
+        raise UsageError("--n-min %d is above --n-max %d"
+                         % (args.n_min, args.n_max))
     ns = range(args.n_min, args.n_max + 1, args.step)
     params = {}
     if args.epsilon is not None:
@@ -197,7 +223,7 @@ def cmd_bench(args):
     if args.verify:
         # the gate bench itself builds each family with
         vargs = argparse.Namespace(ancilla="clean", targets=args.m,
-                                   gate=DEFAULT_GATE.get(args.family),
+                                   gate=default_gate(args.family),
                                    epsilon=args.epsilon or 0.1, n_b=None)
         vargs.target = {"mcx_clean": "mcx", "mcx_dirty": "mcx",
                         "mcmt_x": "mcmt-x", "mcmt_su2": "mcmt-su2",
@@ -229,7 +255,7 @@ def _add_synth_flags(sub, target):
         sub.add_argument("--ancilla", choices=("clean", "dirty"),
                          default="clean")
     if target in ("mcmt-x", "mcmt-su2"):
-        sub.add_argument("--targets", type=int, required=True, metavar="M")
+        sub.add_argument("--targets", type=size, required=True, metavar="M")
     if target in ("mcmt-su2", "approx-u"):
         sub.add_argument("--gate", type=parse_gate_spec, required=True,
                          help="x, z, s, t, h, rx(a), ry(a), rz(a) with pi "
@@ -260,8 +286,8 @@ def build_parser():
     bp.add_argument("--family", choices=FAMILIES, required=True)
     bp.add_argument("--n-min", dest="n_min", type=size, required=True)
     bp.add_argument("--n-max", dest="n_max", type=size, required=True)
-    bp.add_argument("--step", type=int, default=1)
-    bp.add_argument("--m", type=int, default=1)
+    bp.add_argument("--step", type=step, default=1)
+    bp.add_argument("--m", type=size, default=1)
     bp.add_argument("--epsilon", type=float, default=None)
     bp.add_argument("--verify", action="store_true")
     bp.add_argument("--out", default=None)

@@ -16,8 +16,9 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-import numpy as np
+from ._np import np
 
 # arity per gate kind; operands are (controls..., target)
 ARITY = {
@@ -27,20 +28,31 @@ ARITY = {
 }
 ANGLE_KINDS = frozenset({"Rx", "Ry", "Rz"})
 MATRIX_KINDS = frozenset({"U2", "CU2"})
+FIXED_KINDS = frozenset({"X", "H", "T", "Tdg"})
 # kinds allowed in a fully lowered circuit
-LOWERED_KINDS = frozenset({"X", "H", "T", "Tdg", "Rx", "Ry", "Rz", "U2", "CX"})
+LOWERED_KINDS = FIXED_KINDS | {"Rx", "Ry", "Rz", "U2", "CX"}
 
 _UNITARITY_TOL = 1e-12
 
-# matrices of the fixed single-qubit kinds: the one definition the
-# simulator, the synthesizers and the CLI share
-FIXED_MATRICES = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    "T": np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex),
-    "Tdg": np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]],
-                    dtype=complex),
-}
+
+@lru_cache(maxsize=None)
+def fixed_matrix(kind):
+    """Read-only matrix of a fixed single-qubit kind (X, H, T, Tdg): the one
+    definition the simulator, the synthesizers and the CLI share."""
+    if kind == "X":
+        m = np.array([[0, 1], [1, 0]], dtype=complex)
+    elif kind == "H":
+        m = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    elif kind == "T":
+        m = np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]],
+                     dtype=complex)
+    elif kind == "Tdg":
+        m = np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]],
+                     dtype=complex)
+    else:
+        raise ValueError("no fixed matrix for kind %r" % (kind,))
+    m.setflags(write=False)
+    return m
 
 
 def rx_mat(a):
@@ -63,7 +75,7 @@ def _check_unitary(m: np.ndarray) -> np.ndarray:
     if m.shape != (2, 2):
         raise ValueError("gate matrix must be 2x2, got %r" % (m.shape,))
     dev = np.abs(m.conj().T @ m - np.eye(2)).max()
-    if dev > _UNITARITY_TOL:
+    if not dev <= _UNITARITY_TOL:       # NaN fails too
         raise ValueError("matrix is not unitary (deviation %.3e)" % dev)
     return m
 
@@ -92,6 +104,9 @@ class Gate:
             if angle is None:
                 raise ValueError("%s requires an angle" % kind)
             angle = float(angle)
+            if not math.isfinite(angle):
+                raise ValueError("%s angle must be finite, got %r"
+                                 % (kind, angle))
         elif angle is not None:
             raise ValueError("%s takes no angle" % kind)
         if kind in MATRIX_KINDS:
@@ -294,8 +309,11 @@ def lower(circuit: Circuit) -> Circuit:
 
     CCX lowers to the standard exact 6-CX network; RCCX lowers to its
     defining 3-CX network; CU2 lowers via the ABC decomposition (2 CX).
-    Idempotent, and exact: the full unitary is preserved.
+    Idempotent, and exact: the full unitary is preserved.  A circuit with
+    no macro gate is returned as it is.
     """
+    if all(g.kind in LOWERED_KINDS for g in circuit.gates):
+        return circuit
     out = []
     for g in circuit.gates:
         if g.kind in LOWERED_KINDS:
@@ -404,7 +422,7 @@ def _qasm_body(circuit: Circuit, u_name: str) -> list:
     lines = []
     for g in low.gates:
         q = ",".join("q[%d]" % i for i in g.qubits)
-        if g.kind in ("X", "H", "T", "Tdg"):
+        if g.kind in FIXED_KINDS:
             lines.append("%s %s;" % (g.kind.lower(), q))
         elif g.kind in ANGLE_KINDS:
             lines.append("%s(%s) %s;" % (g.kind.lower(),

@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .ir import (FIXED_MATRICES as _SQ, Circuit, Gate, _rccx_template,
-                 rx_mat, ry_mat, rz_mat)
+from ._np import np
+from .ir import (FIXED_KINDS, Circuit, Gate, _rccx_template,
+                 fixed_matrix, rx_mat, ry_mat, rz_mat)
 
 UNITARY_CAP = 13
 APPLY_CAP = 22
@@ -34,10 +33,16 @@ def _controlled(U):
     return m
 
 
-_CX = _controlled(_SQ["X"])
+@lru_cache(maxsize=1)
+def _cx_matrix():
+    return _controlled(fixed_matrix("X"))
 
-_CCX = np.eye(8, dtype=complex)
-_CCX[6:, 6:] = _SQ["X"]
+
+@lru_cache(maxsize=1)
+def _ccx_matrix():
+    m = np.eye(8, dtype=complex)
+    m[6:, 6:] = fixed_matrix("X")
+    return m
 
 
 @lru_cache(maxsize=1)
@@ -56,8 +61,8 @@ def gate_matrix(g: Gate) -> np.ndarray:
     Index ordering inside the matrix follows the operand list: the first
     operand is the most significant bit of the local index.
     """
-    if g.kind in _SQ:
-        return _SQ[g.kind]
+    if g.kind in FIXED_KINDS:
+        return fixed_matrix(g.kind)
     if g.kind == "Rx":
         return rx_mat(g.angle)
     if g.kind == "Ry":
@@ -67,11 +72,11 @@ def gate_matrix(g: Gate) -> np.ndarray:
     if g.kind == "U2":
         return np.asarray(g.matrix, dtype=complex)
     if g.kind == "CX":
-        return _CX
+        return _cx_matrix()
     if g.kind == "CU2":
         return _controlled(np.asarray(g.matrix, dtype=complex))
     if g.kind == "CCX":
-        return _CCX
+        return _ccx_matrix()
     if g.kind == "RCCX":
         return rccx_matrix()
     raise ValueError("no matrix for kind %r" % (g.kind,))

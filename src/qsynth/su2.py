@@ -13,9 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .ir import FIXED_MATRICES, Circuit, Gate, inverse, remap
+from ._np import np
+from .ir import Circuit, Gate, fixed_matrix, inverse, remap
 from .mcx import McxSpec, mcx_log
 
 _SU2_TOL = 1e-10
@@ -44,10 +43,11 @@ def _check_su2(W):
     W = np.asarray(W, dtype=complex)
     if W.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    if np.abs(W.conj().T @ W - np.eye(2)).max() > _SU2_TOL:
+    # written so that NaN fails them
+    if not np.abs(W.conj().T @ W - np.eye(2)).max() <= _SU2_TOL:
         raise ValueError("matrix is not unitary")
     det = W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0]
-    if abs(det - 1) > _SU2_TOL:
+    if not abs(det - 1) <= _SU2_TOL:
         raise ValueError("matrix is not special (det != 1)")
     return W
 
@@ -68,7 +68,7 @@ def _principal_sqrt_su2(q):
 def conjugation_residual(A, W):
     """Max-norm of (X A X A^dag)^2 - W, minimized over the SU(2) sign."""
     A = np.asarray(A, dtype=complex)
-    X = FIXED_MATRICES["X"]
+    X = fixed_matrix("X")
     T = X @ A @ X @ A.conj().T
     P = T @ T
     return min(float(np.abs(P - W).max()), float(np.abs(P + W).max()))

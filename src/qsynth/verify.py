@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 
-import numpy as np
-
+from ._np import np
 from .ir import cnot_count, lower
 from .sim import (UNITARY_CAP, apply, equiv, gate_matrix, random_state,
                   spectral_distance, unitary_of)

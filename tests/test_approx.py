@@ -29,6 +29,8 @@ def test_su2_angle_rejects_garbage():
         su2_angle(np.ones((2, 2)))
     with pytest.raises(ValueError):
         su2_angle(np.eye(3))
+    with pytest.raises(ValueError):
+        su2_angle(np.array([[np.nan, 0], [0, 1]]))
 
 
 def test_nb_values():

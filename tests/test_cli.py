@@ -75,6 +75,14 @@ def test_bad_invocations_exit_two(capsys):
                   "--ancilla", "warm")[0] == 2
     assert invoke(capsys, "synth", "mcmt-su2", "--controls", "4",
                   "--targets", "1", "--gate", "qq")[0] == 2
+    sweep = ("bench", "--family", "mcx_clean", "--n-min", "3")
+    for argv, msg in (
+            (sweep + ("--n-max", "8", "--step", "0"), "at least 1"),
+            (sweep + ("--n-max", "8", "--step", "-1"), "at least 1"),
+            (sweep[:-1] + ("10", "--n-max", "3"), "above --n-max 3")):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert msg in err, err
 
 
 def test_bench_stdout_and_file(tmp_path, capsys):
@@ -124,6 +132,16 @@ def test_size_cap_is_checked_while_parsing(capsys):
     assert invoke(capsys, "verify", "mcx", "--controls", "4097")[0] == 2
     assert invoke(capsys, "bench", "--family", "mcx_clean", "--n-min", "3",
                   "--n-max", "4097")[0] == 2
+    for argv in (("synth", "mcmt-x", "--controls", "3", "--targets", "4097"),
+                 ("verify", "mcmt-su2", "--controls", "3", "--targets",
+                  "4097", "--gate", "h"),
+                 ("bench", "--family", "mcmt_x", "--n-min", "3", "--n-max",
+                  "4", "--m", "4097")):
+        t0 = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert time.perf_counter() - t0 < 1
+        assert "above the size cap 4096" in err
 
 
 def test_export_round_trip(tmp_path, capsys):
@@ -146,16 +164,21 @@ def test_export_missing_file(capsys):
     assert invoke(capsys, "export", "--in", "/nonexistent.json")[0] == 2
 
 
-@pytest.mark.parametrize("text", ['{"gates": []}', "[1, 2]"])
+@pytest.mark.parametrize("text", [
+    '{"gates": []}', "[1, 2]",
+    # Python's json reads NaN; the U2 check must not let it through
+    '{"n": 1, "gates": [{"kind": "U2", "qubits": [0], "matrix": '
+    '[[NaN, 0], [0, 0], [0, 0], [1, 0]]}]}'])
 def test_export_malformed_json_is_usage_error(tmp_path, capsys, text):
     src = tmp_path / "bad.json"
     src.write_text(text)
     code, out, err = invoke(capsys, "export", "--in", str(src))
     assert (code, out) == (2, "")
-    assert err.startswith("error: circuit JSON needs an object")
+    assert err.startswith("error: matrix is not unitary" if "NaN" in text
+                          else "error: circuit JSON needs an object")
 
 
-def test_parse_angle():
+def test_parse_angle(capsys):
     assert parse_angle("pi/2") == pytest.approx(math.pi / 2)
     assert parse_angle("-3*pi/4") == pytest.approx(-3 * math.pi / 4)
     assert parse_angle("0.25") == 0.25
@@ -164,9 +187,16 @@ def test_parse_angle():
     with pytest.raises(UsageError):
         parse_angle("pi)(")
     assert parse_angle("-(pi + 1) / 2") == pytest.approx(-(math.pi + 1) / 2)
-    for power in ("2**3", "pi**2"):
+    for bad in ("2**3", "pi**2", "1e400", "-1e400", "1e400 - 1e400",
+                "1e308 * 10"):
         with pytest.raises(UsageError):
-            parse_angle(power)
+            parse_angle(bad)
+    for extra in (("approx-u", "--epsilon", "0.1"),
+                  ("mcmt-su2", "--targets", "1")):
+        code, out, err = invoke(capsys, "synth", *extra, "--controls", "9",
+                                "--gate", "rz(1e400)")
+        assert (code, out) == (2, ""), err
+        assert "not finite" in err
 
 
 def test_parse_gate_spec():
@@ -180,7 +210,8 @@ def test_parse_gate_spec():
     # plain real 2x2
     M = parse_gate_spec("[[0, 1], [1, 0]]")
     assert np.array_equal(M, np.array([[0, 1], [1, 0]], dtype=complex))
-    with pytest.raises(UsageError):
-        parse_gate_spec("[[1, 0], [0, 2]]")  # not unitary
+    for bad in ("[[1, 0], [0, 2]]", "[[NaN, 0], [0, 1]]"):  # not unitary
+        with pytest.raises(UsageError):
+            parse_gate_spec(bad)
     with pytest.raises(UsageError):
         parse_gate_spec("cnot")

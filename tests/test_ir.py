@@ -32,9 +32,14 @@ def test_rotation_needs_angle_and_u2_needs_matrix():
         Gate("Rz", (0,))
     with pytest.raises(ValueError):
         Gate("U2", (0,))
-    # non-unitary matrices are rejected at 1e-12
-    with pytest.raises(ValueError):
-        Gate("U2", (0,), matrix=np.array([[1, 0], [0, 1.001]]))
+    # non-unitary and non-finite matrices are rejected at 1e-12
+    for bad in ([[1, 0], [0, 1.001]], [[np.nan, 0], [0, 1]],
+                [[np.inf, 0], [0, 1]]):
+        with pytest.raises(ValueError):
+            Gate("U2", (0,), matrix=np.array(bad))
+    for angle in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Gate("Rz", (0,), angle=angle)
 
 
 def test_gate_immutable_and_hashable():

@@ -75,6 +75,8 @@ def test_rejects_non_su2():
         find_conjugating_gate(np.diag([1.0, 1.0j]))   # det != 1
     with pytest.raises(ValueError):
         find_conjugating_gate(np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        find_conjugating_gate(np.array([[np.nan, 0], [0, 1]]))
 
 
 def test_conjugation_frame_extends_reach(rng):
