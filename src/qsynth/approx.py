@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from ._np import np
-from .ir import Circuit, DecompReport, Gate, inverse, remap, report_for
+from .ir import Circuit, Gate, check_unitary, inverse, remap
 from .sim import rx_mat
 from .su2 import McmtSpec, mcmt_su2
 
@@ -43,11 +43,7 @@ def su2_angle(U):
     alpha = arg(det U)/2 is the global phase; V = e^{-i alpha} U is in
     SU(2) with eigenvalues e^{-+ i theta/2}, theta in [0, 2 pi).
     """
-    U = np.asarray(U, dtype=complex)
-    # written so that NaN fails it
-    if U.shape != (2, 2) or \
-            not np.abs(U.conj().T @ U - np.eye(2)).max() <= 1e-10:
-        raise ValueError("expected a 2x2 unitary")
+    U = check_unitary(U, 1e-10)
     det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
     alpha = cmath.phase(det) / 2.0
     V = U * cmath.exp(-1j * alpha)
@@ -134,7 +130,7 @@ def _exact_mcu(n, U) -> Circuit:
 def approx_mcu(n, U, epsilon, n_b=None):
     """Approximate C^nU on n+1 qubits, ancilla-free.
 
-    Returns (circuit, ApproxParams, DecompReport).  The spectral-norm
+    Returns (circuit, ApproxParams).  The spectral-norm
     distance to C^nU, up to global phase, is at most epsilon; the CX count
     is 4 n_b^2 + 24 n - 12 n_b - 56, i.e. exactly 24 more per extra
     control.  Requires n >= n_b + 5 so the promoted central blocks have
@@ -184,5 +180,4 @@ def approx_mcu(n, U, epsilon, n_b=None):
         gates.extend(block2.gates if inv else block1.gates)
 
     _ladder(gates, U, base, targ, True, mid_hook=mid_hook)
-    circuit = Circuit(n + 1, gates)
-    return circuit, params, report_for(circuit)
+    return Circuit(n + 1, gates), params

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import cmath
 import json
 import math
 import operator
@@ -16,14 +15,11 @@ import re
 import sys
 
 from ._np import np
-from .approx import approx_mcu, su2_angle
-from .bench import (COUNT_ONLY_MAX_N, FAMILIES, default_gate, run_family,
-                    to_csv)
-from .ir import (export_text, fixed_matrix, lower, parse_json, report_for,
-                 rx_mat, ry_mat, rz_mat)
-from .mcx import McxSpec, mcx_log
-from .su2 import McmtSpec, mcmt_su2, mcmt_x
-from .verify import Spec, verify_circuit
+from .bench import (COUNT_ONLY_MAX_N, FAMILIES, FAMILY_TARGET, TARGETS,
+                    build, run_family, to_csv)
+from .ir import (check_unitary, export_text, fixed_matrix, lower, parse_json,
+                 report_for, rx_mat, ry_mat, rz_mat)
+from .verify import verify_circuit
 
 
 class UsageError(argparse.ArgumentTypeError):
@@ -81,16 +77,17 @@ def _matrix_from_json(data):
         M = a.astype(complex)
     else:
         raise UsageError("gate matrix must be 2x2")
-    with np.errstate(invalid="ignore"):     # inf entries give NaN here
-        dev = np.abs(M.conj().T @ M - np.eye(2)).max()
-    if not dev <= 1e-10:                    # NaN fails too
-        raise UsageError("gate matrix is not unitary")
-    return M
+    try:
+        return check_unitary(M, 1e-10)
+    except ValueError:
+        raise UsageError("gate matrix is not unitary") from None
 
 
 def size(text):
-    """A register size argument, at most COUNT_ONLY_MAX_N."""
+    """A register size argument, from 1 to COUNT_ONLY_MAX_N."""
     n = int(text)
+    if n < 1:
+        raise UsageError("size must be at least 1, got %d" % n)
     if n > COUNT_ONLY_MAX_N:
         raise UsageError("%d is above the size cap %d" % (n, COUNT_ONLY_MAX_N))
     return n
@@ -121,70 +118,31 @@ def parse_gate_spec(text):
     return _matrix_from_json(data)
 
 
-# ---------------------------------------------------------------------------
-# synthesis dispatch: each target builds its circuit, its resource report
-# where the synthesizer makes one anyway, and a function that gives the spec
-# the circuit must meet.  Only verify calls it: the mcx and mcmt-x specs
-# hold X matrices, which synth has no use for.
-
-def _build_mcx(args):
-    c = mcx_log(McxSpec(args.controls, args.ancilla))
-    return c, None, lambda: Spec("mcx", args.controls, (fixed_matrix("X"),),
-                                 args.ancilla)
-
-
-def _build_mcmt_x(args):
-    c = mcmt_x(args.controls, args.targets)
-    return c, None, lambda: Spec("mcmt-x", args.controls,
-                                 (fixed_matrix("X"),) * args.targets, "clean")
-
-
-def _build_mcmt_su2(args):
-    # multi-target SU(2) synthesis works up to the global phase
-    U = args.gate
-    ws = (U * cmath.exp(-1j * su2_angle(U)[1]),) * args.targets
-    c = mcmt_su2(McmtSpec(args.controls, args.targets, ws))
-    return c, None, lambda: Spec("mcmt-su2", args.controls, ws)
-
-
-def _build_approx_u(args):
-    U = args.gate
-    c, params, rep = approx_mcu(args.controls, U, args.epsilon, args.n_b)
-    return c, rep, lambda: Spec("approx-u", args.controls, (U,),
-                                epsilon=args.epsilon, n_b=params.n_b)
-
-
-_BUILD = {
-    "mcx": _build_mcx,
-    "mcmt-x": _build_mcmt_x,
-    "mcmt-su2": _build_mcmt_su2,
-    "approx-u": _build_approx_u,
-}
-
-
 def _report_line(rep):
     return ("cnot=%d total_gates=%d depth=%d num_ancilla=%d ancilla_kind=%s"
             % (rep.cnot_count, rep.total_gates, rep.depth, rep.num_ancilla,
                rep.ancilla_kind))
 
 
+def _requested(args):
+    return build(args.target, args.controls, args.targets, args.ancilla,
+                 args.gate, args.epsilon, args.n_b)
+
+
 def cmd_synth(args):
-    c, rep, _spec = _BUILD[args.target](args)
+    c, _spec = _requested(args)
     # one lowering serves the report and an assembly export; JSON keeps
     # the macros
-    low = lower(c) if rep is None or args.format != "json" else None
+    low = lower(c)
     sys.stdout.write(export_text(c if args.format == "json" else low,
                                  args.format))
-    if rep is None:
-        kind = next((r for r in c.ancilla_roles if r != "none"), "none")
-        rep = report_for(low, kind)
-    sys.stderr.write(_report_line(rep) + "\n")
+    kind = next((r for r in c.ancilla_roles if r != "none"), "none")
+    sys.stderr.write(_report_line(report_for(low, kind)) + "\n")
     return 0
 
 
-def _verify(args, prefix):
-    """Verify the requested circuit, print its verdict lines; 1 on FAIL."""
-    c, _rep, spec = _BUILD[args.target](args)
+def _verify(c, spec, prefix):
+    """Verify ``c`` against ``spec()``, print the verdict lines; 1 on FAIL."""
     verdict = verify_circuit(c, spec())
     for line in verdict.lines():
         sys.stderr.write("%s: %s\n" % (prefix, line))
@@ -192,7 +150,7 @@ def _verify(args, prefix):
 
 
 def cmd_verify(args):
-    return _verify(args, "verify " + args.target)
+    return _verify(*_requested(args), "verify " + args.target)
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +161,8 @@ def cmd_bench(args):
         raise UsageError("--n-min %d is above --n-max %d"
                          % (args.n_min, args.n_max))
     ns = range(args.n_min, args.n_max + 1, args.step)
-    params = {}
-    if args.epsilon is not None:
-        params["epsilon"] = args.epsilon
-    rows = run_family(args.family, ns, m=args.m, params=params)
+    rows = run_family(args.family, ns, m=args.m,
+                      params={"epsilon": args.epsilon})
     text = to_csv(rows)
     if args.out:
         with open(args.out, "w") as fh:
@@ -221,18 +177,11 @@ def cmd_bench(args):
                              % (r.n, r.cnot, r.baseline_cnot))
             code = 1
     if args.verify:
-        # the gate bench itself builds each family with
-        vargs = argparse.Namespace(ancilla="clean", targets=args.m,
-                                   gate=default_gate(args.family),
-                                   epsilon=args.epsilon or 0.1, n_b=None)
-        vargs.target = {"mcx_clean": "mcx", "mcx_dirty": "mcx",
-                        "mcmt_x": "mcmt-x", "mcmt_su2": "mcmt-su2",
-                        "approx_u": "approx-u"}[args.family]
-        if args.family == "mcx_dirty":
-            vargs.ancilla = "dirty"
+        target, ancilla = FAMILY_TARGET[args.family]
         for r in rows:
-            vargs.controls = r.n
-            code |= _verify(vargs, "bench verify n=%d" % r.n)
+            c, spec = build(target, r.n, args.m, ancilla,
+                            epsilon=args.epsilon)
+            code |= _verify(c, spec, "bench verify n=%d" % r.n)
     return code
 
 
@@ -274,13 +223,15 @@ def build_parser():
     for cmd, fn in (("synth", cmd_synth), ("verify", cmd_verify)):
         cp = cmds.add_parser(cmd)
         tsub = cp.add_subparsers(dest="target", required=True)
-        for target in _BUILD:
+        for target in TARGETS:
             tp = tsub.add_parser(target)
+            # the build fields a target takes no option for
+            tp.set_defaults(func=fn, targets=1, ancilla="clean", gate=None,
+                            epsilon=0.1, n_b=None)
             _add_synth_flags(tp, target)
             if cmd == "synth":
                 tp.add_argument("--format", choices=("qasm2", "qasm3",
                                                      "json"), default="json")
-            tp.set_defaults(func=fn)
 
     bp = cmds.add_parser("bench")
     bp.add_argument("--family", choices=FAMILIES, required=True)
@@ -288,7 +239,7 @@ def build_parser():
     bp.add_argument("--n-max", dest="n_max", type=size, required=True)
     bp.add_argument("--step", type=step, default=1)
     bp.add_argument("--m", type=size, default=1)
-    bp.add_argument("--epsilon", type=float, default=None)
+    bp.add_argument("--epsilon", type=float, default=0.1)
     bp.add_argument("--verify", action="store_true")
     bp.add_argument("--out", default=None)
     bp.set_defaults(func=cmd_bench)

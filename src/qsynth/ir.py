@@ -70,12 +70,16 @@ def rz_mat(a):
                     dtype=complex)
 
 
-def _check_unitary(m: np.ndarray) -> np.ndarray:
+def check_unitary(m, tol=_UNITARITY_TOL) -> np.ndarray:
+    """``m`` as a complex 2x2 array; ValueError unless its entries are
+    finite and no entry of m^dag m - I exceeds ``tol`` in magnitude."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError("gate matrix must be 2x2, got %r" % (m.shape,))
-    dev = np.abs(m.conj().T @ m - np.eye(2)).max()
-    if not dev <= _UNITARITY_TOL:       # NaN fails too
+    # finiteness first: an inf entry would make the product warn
+    dev = (np.abs(m.conj().T @ m - np.eye(2)).max()
+           if all(map(cmath.isfinite, m.ravel().tolist())) else math.nan)
+    if not dev <= tol:
         raise ValueError("matrix is not unitary (deviation %.3e)" % dev)
     return m
 
@@ -112,7 +116,7 @@ class Gate:
         if kind in MATRIX_KINDS:
             if matrix is None:
                 raise ValueError("%s requires a matrix" % kind)
-            matrix = _check_unitary(matrix)
+            matrix = check_unitary(matrix)
             matrix.setflags(write=False)
         elif matrix is not None:
             raise ValueError("%s takes no matrix" % kind)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from ._np import np
-from .ir import Circuit, Gate, fixed_matrix, inverse, remap
+from .ir import Circuit, Gate, check_unitary, fixed_matrix, inverse, remap
 from .mcx import McxSpec, mcx_log
 
 _SU2_TOL = 1e-10
@@ -40,12 +40,7 @@ def _quat_to_mat(q):
 
 
 def _check_su2(W):
-    W = np.asarray(W, dtype=complex)
-    if W.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    # written so that NaN fails them
-    if not np.abs(W.conj().T @ W - np.eye(2)).max() <= _SU2_TOL:
-        raise ValueError("matrix is not unitary")
+    W = check_unitary(W, _SU2_TOL)
     det = W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0]
     if not abs(det - 1) <= _SU2_TOL:
         raise ValueError("matrix is not special (det != 1)")

@@ -11,7 +11,7 @@ import pytest
 import qsynth.cli as cli
 from qsynth.approx import approx_mcu, nb_from_epsilon
 from qsynth.bench import fit_log, run_family
-from qsynth.ir import Circuit, Gate, cnot_count, depth, lower
+from qsynth.ir import Circuit, Gate, cnot_count, depth, lower, report_for
 from qsynth.mcx import McxSpec, mcx_log
 from qsynth.sim import equiv, spectral_distance, unitary_of
 from qsynth.su2 import McmtSpec, mcmt_su2, mcmt_x
@@ -85,7 +85,8 @@ def test_mcmt_su2_oracle_equivalence(n, m, seed):
 # 3. approximation error and count bound
 
 def _approx_point(n, eps, simulate):
-    c, params, rep = approx_mcu(n, X, eps)
+    c, params = approx_mcu(n, X, eps)
+    rep = report_for(c)
     n_b = params.n_b
     assert rep.cnot_count <= 4 * (n_b - 1) ** 2 + 24 * n - 8 * n_b - 4
     if simulate:
@@ -118,7 +119,7 @@ def test_approx_eps_005_n12_count_only():
 
 def test_approx_eps_005_n12_spot_check():
     # the 13-qubit point above, through the spot tier's seeded states
-    c, params, _ = approx_mcu(12, X, 0.05)
+    c, params = approx_mcu(12, X, 0.05)
     v = verify_circuit(c, Spec("approx-u", 12, (X,), epsilon=0.05,
                                n_b=params.n_b))
     assert (v.tier, v.inputs, v.fails) == ("spot", 6, ()), v

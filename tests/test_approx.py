@@ -5,7 +5,7 @@ import pytest
 
 from qsynth.approx import (ApproxParams, _exact_mcu, approx_mcu,
                            nb_from_epsilon, root_gate, su2_angle)
-from qsynth.ir import cnot_count, lower
+from qsynth.ir import cnot_count, lower, report_for
 from qsynth.sim import apply, rx_mat, rz_mat, spectral_distance, unitary_of
 
 from conftest import X, ctrl_u, random_su2
@@ -31,6 +31,8 @@ def test_su2_angle_rejects_garbage():
         su2_angle(np.eye(3))
     with pytest.raises(ValueError):
         su2_angle(np.array([[np.nan, 0], [0, 1]]))
+    with pytest.raises(ValueError):
+        su2_angle(np.array([[np.inf, 0], [0, 1]]))
 
 
 def test_nb_values():
@@ -99,7 +101,7 @@ def test_precondition_names_minimum():
 
 
 def test_nb_override_only_upward():
-    c, params, _ = approx_mcu(12, X, 0.1, n_b=6)
+    c, params = approx_mcu(12, X, 0.1, n_b=6)
     assert params.n_b == 6
     with pytest.raises(ValueError):
         approx_mcu(12, X, 0.1, n_b=2)
@@ -108,7 +110,8 @@ def test_nb_override_only_upward():
 def test_count_formula_and_linear_slope():
     counts = {}
     for n in (10, 11, 12, 20, 40):
-        c, params, rep = approx_mcu(n, X, 0.1)
+        c, params = approx_mcu(n, X, 0.1)
+        rep = report_for(c)
         n_b = params.n_b
         want = 4 * n_b ** 2 + 24 * n - 12 * n_b - 56
         assert rep.cnot_count == want, n
@@ -119,7 +122,7 @@ def test_count_formula_and_linear_slope():
 
 
 def test_ancilla_free_register():
-    c, params, _ = approx_mcu(10, X, 0.1)
+    c, params = approx_mcu(10, X, 0.1)
     assert c.num_qubits == 11
     assert all(r == "none" for r in c.ancilla_roles)
     assert params.n_e == 10 - params.n_b
@@ -130,7 +133,7 @@ def test_error_at_minimum_n():
     # acceptance suite
     eps = 0.3
     n = nb_from_epsilon(math.pi, eps) + 5
-    c, params, _ = approx_mcu(n, X, eps)
+    c, params = approx_mcu(n, X, eps)
     A = unitary_of(lower(c))
     B = ctrl_u(n + 1, range(n), n, X)
     d = spectral_distance(A, B)
@@ -150,7 +153,7 @@ def test_error_shrinks_with_larger_nb():
     want[pat | (1 << n)] = 1.0          # ... so X lands on the target
     errs = []
     for n_b in (4, 5, 6):
-        c, _, _ = approx_mcu(n, X, eps, n_b=n_b)
+        c, _ = approx_mcu(n, X, eps, n_b=n_b)
         out = apply(lower(c), psi)
         # phase-aligned distance from the ideal output state
         errs.append(math.sqrt(max(0.0, 2 - 2 * abs(np.vdot(want, out)))))

@@ -79,7 +79,12 @@ def test_bad_invocations_exit_two(capsys):
     for argv, msg in (
             (sweep + ("--n-max", "8", "--step", "0"), "at least 1"),
             (sweep + ("--n-max", "8", "--step", "-1"), "at least 1"),
-            (sweep[:-1] + ("10", "--n-max", "3"), "above --n-max 3")):
+            (sweep[:-1] + ("10", "--n-max", "3"), "above --n-max 3"),
+            (sweep + ("--n-max", "4", "--m", "0"), "at least 1"),
+            (sweep + ("--n-max", "4", "--m", "-3"), "at least 1"),
+            (sweep[:-1] + ("0", "--n-max", "4"), "at least 1"),
+            (("synth", "mcmt-x", "--controls", "3", "--targets", "0"),
+             "at least 1")):
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert msg in err, err
@@ -108,19 +113,22 @@ def test_bench_verify_flag(capsys):
     assert err.count(": ok tier=dense inputs=") == 3, err
 
 
-@pytest.mark.parametrize("family", ["approx_u", "mcmt_su2"])
+@pytest.mark.parametrize("family", ["approx_u", "mcmt_su2", "mcx_clean",
+                                    "mcx_dirty", "mcmt_x"])
 def test_bench_verify_checks_the_row_circuit(capsys, monkeypatch, family):
+    ancilla = {"mcx_clean": "clean", "mcx_dirty": "dirty",
+               "mcmt_x": "clean"}.get(family, "none")
     seen = []
 
     def record(c, spec):
-        seen.append(cnot_count(c))
+        seen.append((cnot_count(c), spec.ancilla))
         return Verdict("dense", 1, ())
     monkeypatch.setattr(cli, "verify_circuit", record)
     n = "10" if family == "approx_u" else "4"
     code, out, _ = invoke(capsys, "bench", "--family", family,
                           "--n-min", n, "--n-max", n, "--verify")
     assert code == 0
-    assert seen == [int(out.splitlines()[1].split(",")[3])]
+    assert seen == [(int(out.splitlines()[1].split(",")[3]), ancilla)]
 
 
 def test_size_cap_is_checked_while_parsing(capsys):
@@ -168,14 +176,18 @@ def test_export_missing_file(capsys):
     '{"gates": []}', "[1, 2]",
     # Python's json reads NaN; the U2 check must not let it through
     '{"n": 1, "gates": [{"kind": "U2", "qubits": [0], "matrix": '
-    '[[NaN, 0], [0, 0], [0, 0], [1, 0]]}]}'])
+    '[[NaN, 0], [0, 0], [0, 0], [1, 0]]}]}',
+    # nor Infinity, and no numpy warning may reach stderr
+    '{"n": 1, "gates": [{"kind": "U2", "qubits": [0], "matrix": '
+    '[[Infinity, 0], [0, 0], [0, 0], [1, 0]]}]}'])
 def test_export_malformed_json_is_usage_error(tmp_path, capsys, text):
     src = tmp_path / "bad.json"
     src.write_text(text)
     code, out, err = invoke(capsys, "export", "--in", str(src))
     assert (code, out) == (2, "")
-    assert err.startswith("error: matrix is not unitary" if "NaN" in text
+    assert err.startswith("error: matrix is not unitary" if "matrix" in text
                           else "error: circuit JSON needs an object")
+    assert err.count("\n") == 1, err
 
 
 def test_parse_angle(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qsynth.bench as bench
 import qsynth.cli as cli
 from qsynth.ir import Circuit, Gate
 from qsynth.mcx import McxSpec, mcx_log
@@ -45,7 +46,7 @@ def test_sparse_tier_catches_a_retargeted_store(capsys, monkeypatch):
     for i in (21, 22, len(gates) - 22, len(gates) - 23):
         gates[i] = Gate(gates[i].kind, gates[i].qubits[:-1] + (17,))
     bad = Circuit(good.num_qubits, gates, good.ancilla_roles)
-    monkeypatch.setattr(cli, "mcx_log", lambda spec: bad)
+    monkeypatch.setattr(bench, "mcx_log", lambda spec: bad)
     assert cli.run(["verify", "mcx", "--controls", "20"]) == 1
     err = capsys.readouterr().err
     assert "verify mcx: FAIL tier=sparse inputs=" in err
@@ -61,7 +62,7 @@ def test_spot_tier_catches_a_retargeted_store(capsys, monkeypatch):
     for i in (9, 10, len(gates) - 10, len(gates) - 11):
         gates[i] = Gate(gates[i].kind, gates[i].qubits[:-1] + (12,))
     bad = Circuit(good.num_qubits, gates, good.ancilla_roles)
-    monkeypatch.setattr(cli, "mcx_log", lambda spec: bad)
+    monkeypatch.setattr(bench, "mcx_log", lambda spec: bad)
     assert cli.run(["verify", "mcx", "--controls", "13"]) == 1
     err = capsys.readouterr().err
     assert "verify mcx: FAIL tier=spot inputs=8: spot check distance" in err
