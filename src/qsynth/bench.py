@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ._np import np
 from .approx import approx_mcu, nb_from_epsilon, su2_angle
-from .ir import cnot_count, depth, fixed_matrix, lower, rz_mat
+from .ir import cnot_count, depth, fixed_matrix, rz_mat
 from .mcx import McxSpec, mcx_log
 from .su2 import McmtSpec, baseline_counts, mcmt_su2, mcmt_x
 
@@ -46,30 +46,35 @@ def build(target, n, m=1, ancilla="clean", gate=None, epsilon=0.1,
 
     ``m`` is the target count of mcmt-x and mcmt-su2, ``ancilla`` the kind
     of mcx, ``gate`` the 2x2 unitary of mcmt-su2 and approx-u.  The spec is
-    left to a function because the mcx and mcmt-x specs hold X matrices,
-    which synthesis alone has no use for.
+    left to a function because it needs the verifier, and the mcx and
+    mcmt-x specs hold X matrices: synthesis alone has no use for either.
     """
-    # imported here so that `import qsynth` leaves the verifier unloaded
-    from .verify import Spec
     if gate is None:
         gate = default_gate(target)
     if target == "mcx":
         c = mcx_log(McxSpec(n, ancilla))
-        return c, lambda: Spec("mcx", n, (fixed_matrix("X"),), ancilla)
+        return c, lambda: _spec("mcx", n, (fixed_matrix("X"),), ancilla)
     if target == "mcmt-x":
         c = mcmt_x(n, m)
-        return c, lambda: Spec("mcmt-x", n, (fixed_matrix("X"),) * m,
-                               "clean")
+        return c, lambda: _spec("mcmt-x", n, (fixed_matrix("X"),) * m,
+                                "clean")
     if target == "mcmt-su2":
         # multi-target SU(2) synthesis works up to the global phase
         ws = (gate * cmath.exp(-1j * su2_angle(gate)[1]),) * m
         c = mcmt_su2(McmtSpec(n, m, ws))
-        return c, lambda: Spec("mcmt-su2", n, ws)
+        return c, lambda: _spec("mcmt-su2", n, ws)
     if target == "approx-u":
         c, params = approx_mcu(n, gate, epsilon, n_b)
-        return c, lambda: Spec("approx-u", n, (gate,), epsilon=epsilon,
-                               n_b=params.n_b)
+        return c, lambda: _spec("approx-u", n, (gate,), epsilon=epsilon,
+                                n_b=params.n_b)
     raise ValueError("unknown target %r" % (target,))
+
+
+def _spec(*fields, **kw):
+    """``verify.Spec(*fields, **kw)``; the verifier is imported here, so
+    only the requests that verify load it."""
+    from .verify import Spec
+    return Spec(*fields, **kw)
 
 
 @dataclass(frozen=True)
@@ -115,10 +120,10 @@ def run_family(family, n_range, m=1, params=None):
         if n > COUNT_ONLY_MAX_N:
             raise ValueError("n = %d beyond the count-only limit %d"
                              % (n, COUNT_ONLY_MAX_N))
-        c, _spec = build(target, n, m, ancilla, epsilon=eps)
+        c, _ = build(target, n, m, ancilla, epsilon=eps)
         bc, bd = _baselines(family, n, m, eps)
         rows.append(BenchRow(family=family, n=n, m=m,
-                             cnot=cnot_count(c), depth=depth(lower(c)),
+                             cnot=cnot_count(c), depth=depth(c),
                              baseline_cnot=bc, baseline_depth=bd))
     return rows
 

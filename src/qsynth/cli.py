@@ -17,9 +17,8 @@ import sys
 from ._np import np
 from .bench import (COUNT_ONLY_MAX_N, FAMILIES, FAMILY_TARGET, TARGETS,
                     build, run_family, to_csv)
-from .ir import (check_unitary, export_text, fixed_matrix, lower, parse_json,
+from .ir import (check_unitary, export_text, fixed_matrix, parse_json,
                  report_for, rx_mat, ry_mat, rz_mat)
-from .verify import verify_circuit
 
 
 class UsageError(argparse.ArgumentTypeError):
@@ -131,18 +130,16 @@ def _requested(args):
 
 def cmd_synth(args):
     c, _spec = _requested(args)
-    # one lowering serves the report and an assembly export; JSON keeps
-    # the macros
-    low = lower(c)
-    sys.stdout.write(export_text(c if args.format == "json" else low,
-                                 args.format))
+    sys.stdout.write(export_text(c, args.format))
     kind = next((r for r in c.ancilla_roles if r != "none"), "none")
-    sys.stderr.write(_report_line(report_for(low, kind)) + "\n")
+    sys.stderr.write(_report_line(report_for(c, kind)) + "\n")
     return 0
 
 
 def _verify(c, spec, prefix):
     """Verify ``c`` against ``spec()``, print the verdict lines; 1 on FAIL."""
+    # imported here so that only the requests that verify load the verifier
+    from .verify import verify_circuit
     verdict = verify_circuit(c, spec())
     for line in verdict.lines():
         sys.stderr.write("%s: %s\n" % (prefix, line))
@@ -160,9 +157,12 @@ def cmd_bench(args):
     if args.n_min > args.n_max:
         raise UsageError("--n-min %d is above --n-max %d"
                          % (args.n_min, args.n_max))
+    if args.epsilon is not None and args.family != "approx_u":
+        raise UsageError("--epsilon applies only to --family approx_u")
+    # run_family and build hold the default epsilon
+    params = {} if args.epsilon is None else {"epsilon": args.epsilon}
     ns = range(args.n_min, args.n_max + 1, args.step)
-    rows = run_family(args.family, ns, m=args.m,
-                      params={"epsilon": args.epsilon})
+    rows = run_family(args.family, ns, m=args.m, params=params)
     text = to_csv(rows)
     if args.out:
         with open(args.out, "w") as fh:
@@ -179,8 +179,7 @@ def cmd_bench(args):
     if args.verify:
         target, ancilla = FAMILY_TARGET[args.family]
         for r in rows:
-            c, spec = build(target, r.n, args.m, ancilla,
-                            epsilon=args.epsilon)
+            c, spec = build(target, r.n, args.m, ancilla, **params)
             code |= _verify(c, spec, "bench verify n=%d" % r.n)
     return code
 
@@ -239,7 +238,7 @@ def build_parser():
     bp.add_argument("--n-max", dest="n_max", type=size, required=True)
     bp.add_argument("--step", type=step, default=1)
     bp.add_argument("--m", type=size, default=1)
-    bp.add_argument("--epsilon", type=float, default=0.1)
+    bp.add_argument("--epsilon", type=float, default=None)
     bp.add_argument("--verify", action="store_true")
     bp.add_argument("--out", default=None)
     bp.set_defaults(func=cmd_bench)

@@ -236,33 +236,31 @@ def remap(circuit: Circuit, mapping, num_qubits, ancilla_roles=None) -> Circuit:
 # ---------------------------------------------------------------------------
 # lowering
 
-def _ccx_template(a, b, t):
-    """Standard exact Toffoli over {H, T, Tdg, CX}: 6 CX, 15 gates."""
-    return [
-        Gate("H", (t,)),
-        Gate("CX", (b, t)), Gate("Tdg", (t,)),
-        Gate("CX", (a, t)), Gate("T", (t,)),
-        Gate("CX", (b, t)), Gate("Tdg", (t,)),
-        Gate("CX", (a, t)), Gate("T", (b,)), Gate("T", (t,)),
-        Gate("H", (t,)),
-        Gate("CX", (a, b)), Gate("T", (a,)), Gate("Tdg", (b,)),
-        Gate("CX", (a, b)),
-    ]
-
-
-def _rccx_template(a, b, t):
-    """Relative-phase Toffoli: equals CCX times a diagonal gate, 3 CX.
-
-    This network is the defining expansion of the RCCX macro; its matrix
-    is always computed from these gates, never hard-coded.
-    """
-    return [
-        Gate("H", (t,)), Gate("T", (t,)),
-        Gate("CX", (b, t)), Gate("Tdg", (t,)),
-        Gate("CX", (a, t)), Gate("T", (t,)),
-        Gate("CX", (b, t)), Gate("Tdg", (t,)),
-        Gate("H", (t,)),
-    ]
+# macro kind -> its lowering as rows of (kind, operand positions), the
+# positions indexing the macro's (controls..., target).  ``lower``, ``depth``,
+# ``report_for`` and the simulator's RCCX matrix all read this one table.
+_TEMPLATES = {
+    # standard exact Toffoli over {H, T, Tdg, CX}: 6 CX, 15 gates
+    "CCX": (
+        ("H", (2,)),
+        ("CX", (1, 2)), ("Tdg", (2,)),
+        ("CX", (0, 2)), ("T", (2,)),
+        ("CX", (1, 2)), ("Tdg", (2,)),
+        ("CX", (0, 2)), ("T", (1,)), ("T", (2,)),
+        ("H", (2,)),
+        ("CX", (0, 1)), ("T", (0,)), ("Tdg", (1,)),
+        ("CX", (0, 1)),
+    ),
+    # relative-phase Toffoli: CCX times a diagonal gate, 3 CX.  This network
+    # defines the macro; its matrix is always computed from it.
+    "RCCX": (
+        ("H", (2,)), ("T", (2,)),
+        ("CX", (1, 2)), ("Tdg", (2,)),
+        ("CX", (0, 2)), ("T", (2,)),
+        ("CX", (1, 2)), ("Tdg", (2,)),
+        ("H", (2,)),
+    ),
+}
 
 
 def zyz_angles(U):
@@ -283,29 +281,59 @@ def zyz_angles(U):
     return alpha, beta, gamma, delta
 
 
-def _cu2_template(c, t, U):
-    """Controlled-U via the ABC decomposition: 2 CX plus single-qubit gates.
+@lru_cache(maxsize=1024)
+def _abc(key):
+    """(C, B, A, control phase) of the ABC decomposition of the 2x2 unitary
+    whose complex bytes are ``key``; a part equal to the identity is None.
 
     U = e^{i alpha} A X B X C with A B C = I; the phase lands on the
-    control as diag(1, e^{i alpha}).
+    control as diag(1, e^{i alpha}).  Cached on the bytes, since the CU2
+    gates of a circuit share a few matrices; the parts are read-only.
     """
-    alpha, beta, gamma, delta = zyz_angles(U)
+    alpha, beta, gamma, delta = zyz_angles(
+        np.frombuffer(key, dtype=complex).reshape(2, 2))
     A = rz_mat(beta) @ ry_mat(gamma / 2)
     B = ry_mat(-gamma / 2) @ rz_mat(-(delta + beta) / 2)
     C = rz_mat((delta - beta) / 2)
-    out = []
-    if np.abs(C - np.eye(2)).max() > 1e-15:
-        out.append(Gate("U2", (t,), matrix=C))
-    out.append(Gate("CX", (c, t)))
-    if np.abs(B - np.eye(2)).max() > 1e-15:
-        out.append(Gate("U2", (t,), matrix=B))
-    out.append(Gate("CX", (c, t)))
-    if np.abs(A - np.eye(2)).max() > 1e-15:
-        out.append(Gate("U2", (t,), matrix=A))
-    if abs(alpha) > 1e-15:
-        phase = np.array([[1, 0], [0, cmath.exp(1j * alpha)]], dtype=complex)
-        out.append(Gate("U2", (c,), matrix=phase))
-    return out
+    parts = [m if np.abs(m - np.eye(2)).max() > 1e-15 else None
+             for m in (C, B, A)]
+    parts.append(np.array([[1, 0], [0, cmath.exp(1j * alpha)]],
+                          dtype=complex) if abs(alpha) > 1e-15 else None)
+    for m in parts:
+        if m is not None:
+            m.setflags(write=False)
+    return tuple(parts)
+
+
+def _cu2_parts(c, t, U):
+    """Controlled-U via the ABC decomposition as (kind, qubits, matrix)
+    triples: 2 CX plus the single-qubit parts that are not the identity."""
+    C, B, A, phase = _abc(np.asarray(U, dtype=complex).tobytes())
+    rows = (("U2", (t,), C), ("CX", (c, t), None), ("U2", (t,), B),
+            ("CX", (c, t), None), ("U2", (t,), A), ("U2", (c,), phase))
+    return [r for r in rows if r[0] == "CX" or r[2] is not None]
+
+
+@lru_cache(maxsize=1024)
+def _template_operands(kind, qubits):
+    """Operand tuple of each row of ``_TEMPLATES[kind]`` for the macro on
+    ``qubits``.  Cached: a circuit repeats a macro on the same wires, at
+    least once more to uncompute it."""
+    at = qubits.__getitem__
+    return tuple(tuple(map(at, pos)) for _, pos in _TEMPLATES[kind])
+
+
+def _lowered_operands(circuit):
+    """The operand tuple of each gate of ``lower(circuit)``, in order, found
+    without building any gate."""
+    for g in circuit.gates:
+        if g.kind in LOWERED_KINDS:
+            yield g.qubits
+        elif g.kind == "CU2":
+            for _, qubits, _ in _cu2_parts(*g.qubits, g.matrix):
+                yield qubits
+        else:
+            yield from _template_operands(g.kind, g.qubits)
 
 
 def lower(circuit: Circuit) -> Circuit:
@@ -322,14 +350,13 @@ def lower(circuit: Circuit) -> Circuit:
     for g in circuit.gates:
         if g.kind in LOWERED_KINDS:
             out.append(g)
-        elif g.kind == "CCX":
-            out.extend(_ccx_template(*g.qubits))
-        elif g.kind == "RCCX":
-            out.extend(_rccx_template(*g.qubits))
         elif g.kind == "CU2":
-            out.extend(_cu2_template(g.qubits[0], g.qubits[1], g.matrix))
-        else:  # pragma: no cover - kinds are exhaustive
-            raise ValueError("cannot lower %r" % (g.kind,))
+            out.extend(Gate(kind, qubits, matrix=m)
+                       for kind, qubits, m in _cu2_parts(*g.qubits, g.matrix))
+        else:
+            out.extend(Gate(kind, qubits) for (kind, _), qubits in
+                       zip(_TEMPLATES[g.kind],
+                           _template_operands(g.kind, g.qubits)))
     return Circuit(circuit.num_qubits, out, circuit.ancilla_roles)
 
 
@@ -348,17 +375,20 @@ def count_gates(circuit: Circuit, kind) -> int:
 
 
 def depth(circuit: Circuit) -> int:
-    """Greedy as-soon-as-possible layer count.
+    """Greedy as-soon-as-possible layer count of the lowered circuit.
 
-    Every gate costs one layer and enters the earliest layer where all of
-    its qubits are free; macros count as opaque multi-qubit gates unless
-    the circuit is lowered first.  Empty circuit has depth 0.
+    Every gate of ``lower(circuit)`` costs one layer and enters the
+    earliest layer where all of its qubits are free.  Macros are walked
+    through their lowering without building it.  Empty circuit has depth 0.
     """
     frontier = [0] * circuit.num_qubits
-    for g in circuit.gates:
-        layer = 1 + max(frontier[q] for q in g.qubits)
-        for q in g.qubits:
-            frontier[q] = layer
+    # a lowered gate acts on one qubit or, as CX, on two
+    for qubits in _lowered_operands(circuit):
+        if len(qubits) == 1:
+            frontier[qubits[0]] += 1
+        else:
+            a, b = qubits
+            frontier[a] = frontier[b] = max(frontier[a], frontier[b]) + 1
     return max(frontier, default=0)
 
 
@@ -392,12 +422,12 @@ def inverse(circuit: Circuit) -> Circuit:
 
 
 def report_for(circuit: Circuit, ancilla_kind="none") -> DecompReport:
-    """Build a DecompReport for a synthesized circuit."""
-    low = lower(circuit)
+    """Build a DecompReport for a synthesized circuit; counts and depth are
+    those of its lowering, found without building it."""
     return DecompReport(
         cnot_count=cnot_count(circuit),
-        total_gates=len(low.gates),
-        depth=depth(low),
+        total_gates=sum(1 for _ in _lowered_operands(circuit)),
+        depth=depth(circuit),
         num_ancilla=sum(1 for r in circuit.ancilla_roles if r != "none"),
         ancilla_kind=ancilla_kind,
     )

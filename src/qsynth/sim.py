@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._np import np
-from .ir import (FIXED_KINDS, Circuit, Gate, _rccx_template,
-                 fixed_matrix, rx_mat, ry_mat, rz_mat)
+from .ir import (FIXED_KINDS, Circuit, Gate, fixed_matrix, lower, rx_mat,
+                 ry_mat, rz_mat)
 
 UNITARY_CAP = 13
 APPLY_CAP = 22
@@ -51,8 +51,7 @@ def rccx_matrix():
     # operands (a, b, t) with a as the most significant local index bit,
     # matching the gate_matrix ordering: under the global little-endian
     # convention that means a = qubit 2, b = qubit 1, t = qubit 0
-    c = Circuit(3, _rccx_template(2, 1, 0))
-    return unitary_of(c)
+    return unitary_of(lower(Circuit(3, [Gate("RCCX", (2, 1, 0))])))
 
 
 def gate_matrix(g: Gate) -> np.ndarray:

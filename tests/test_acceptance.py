@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qsynth.cli as cli
+import qsynth.verify
 from qsynth.approx import approx_mcu, nb_from_epsilon
 from qsynth.bench import fit_log, run_family
 from qsynth.ir import Circuit, Gate, cnot_count, depth, lower, report_for
@@ -161,7 +162,7 @@ def test_cli_verify_exit_codes(capsys, monkeypatch):
                     "--ancilla", "dirty"]) == 0
     assert cli.run(["verify", "mcx", "--controls", "0"]) == 2
     # a reported discrepancy must surface as exit code 1
-    monkeypatch.setattr(cli, "verify_circuit",
+    monkeypatch.setattr(qsynth.verify, "verify_circuit",
                         lambda c, spec: Verdict("dense", 1, ("forced",)))
     assert cli.run(["verify", "mcx", "--controls", "4"]) == 1
     capsys.readouterr()

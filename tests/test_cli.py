@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-import qsynth.cli as cli
+import qsynth.verify
 from qsynth.cli import parse_angle, parse_gate_spec, run, UsageError
 from qsynth.ir import cnot_count, parse_json, report_for
 from qsynth.sim import rx_mat
@@ -82,6 +82,7 @@ def test_bad_invocations_exit_two(capsys):
             (sweep[:-1] + ("10", "--n-max", "3"), "above --n-max 3"),
             (sweep + ("--n-max", "4", "--m", "0"), "at least 1"),
             (sweep + ("--n-max", "4", "--m", "-3"), "at least 1"),
+            (sweep + ("--n-max", "3", "--epsilon", "7"), "approx_u"),
             (sweep[:-1] + ("0", "--n-max", "4"), "at least 1"),
             (("synth", "mcmt-x", "--controls", "3", "--targets", "0"),
              "at least 1")):
@@ -123,7 +124,7 @@ def test_bench_verify_checks_the_row_circuit(capsys, monkeypatch, family):
     def record(c, spec):
         seen.append((cnot_count(c), spec.ancilla))
         return Verdict("dense", 1, ())
-    monkeypatch.setattr(cli, "verify_circuit", record)
+    monkeypatch.setattr(qsynth.verify, "verify_circuit", record)
     n = "10" if family == "approx_u" else "4"
     code, out, _ = invoke(capsys, "bench", "--family", family,
                           "--n-min", n, "--n-max", n, "--verify")

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from qsynth.bench import FAMILY_TARGET, build
 from qsynth.ir import (Circuit, Gate, cnot_count, count_gates, depth,
                        export_text, inverse, lower, parse_json, remap,
                        report_for)
 from qsynth.sim import rz_mat, unitary_of
 
-from conftest import H, X, random_su2
+from conftest import H, X, random_circuit, random_su2
 
 
 def test_gate_arity_checked():
@@ -134,6 +135,22 @@ def test_remap():
     r = remap(a, {0: 2, 1: 0}, 3)
     assert r.num_qubits == 3
     assert r.gates[0].qubits == (2, 0)
+
+
+def test_depth_and_report_match_the_lowered_circuit(rng):
+    circuits = [random_circuit(nq, rng) for nq in range(2, 7)
+                for _ in range(3)]
+    # each of these CU2 gates leaves out some of its ABC parts
+    circuits += [Circuit(2, [Gate("H", (1,)), Gate("CU2", (0, 1), matrix=U)])
+                 for U in (np.eye(2), np.diag([1, 1j]), X, rz_mat(0.3),
+                           -np.eye(2))]
+    for target, ancilla in FAMILY_TARGET.values():
+        for n in (10, 12, 17) if target == "approx-u" else (3, 6, 21):
+            circuits.append(build(target, n, 2, ancilla)[0])
+    for c in circuits:
+        low = lower(c)
+        assert depth(c) == depth(low), c
+        assert report_for(c).total_gates == len(low.gates), c
 
 
 def test_report_for_counts():

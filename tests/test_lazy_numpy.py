@@ -1,5 +1,6 @@
-"""numpy loads on first matrix use; these run in fresh interpreters, since
-conftest imports numpy before qsynth for every in-process test."""
+"""numpy loads on first matrix use, and the verifier on the first verify;
+these run in fresh interpreters, since conftest imports numpy before qsynth
+for every in-process test."""
 import os
 import subprocess
 import sys
@@ -27,7 +28,8 @@ import sys
 import qsynth.cli
 code = qsynth.cli.run(sys.argv[1:])
 sys.stdout.flush()
-sys.exit(code if "numpy._core" not in sys.modules else 99)
+sys.exit(code if "numpy._core" not in sys.modules
+         and "qsynth.verify" not in sys.modules else 99)
 """
 
 
