@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -125,6 +126,18 @@ class Gate:
         object.__setattr__(self, "angle", angle)
         object.__setattr__(self, "matrix", matrix)
 
+    @classmethod
+    def _checked(cls, kind, qubits, angle=None, matrix=None):
+        """A gate from fields that already passed ``__init__``'s checks:
+        ``qubits`` a tuple of distinct non-negative ints, ``angle`` a finite
+        float, ``matrix`` a read-only unitary.  Nothing is checked again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "kind", kind)
+        object.__setattr__(g, "qubits", qubits)
+        object.__setattr__(g, "angle", angle)
+        object.__setattr__(g, "matrix", matrix)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("Gate is immutable")
 
@@ -227,9 +240,23 @@ class DecompReport:
 
 
 def remap(circuit: Circuit, mapping, num_qubits, ancilla_roles=None) -> Circuit:
-    """Embed a circuit into a larger register via a qubit-index map."""
-    gates = [Gate(g.kind, tuple(mapping[q] for q in g.qubits),
-                  g.angle, g.matrix) for g in circuit.gates]
+    """Embed a circuit into a larger register via a qubit-index map.
+
+    ValueError unless ``mapping`` sends the qubits the gates use to
+    distinct non-negative integers.  That one check keeps every moved gate
+    valid, so the gates are not checked again.
+    """
+    try:
+        image = {q: operator.index(mapping[q])
+                 for g in circuit.gates for q in g.qubits}
+    except TypeError:
+        raise ValueError("qubit mapping must give integers") from None
+    if min(image.values(), default=0) < 0:
+        raise ValueError("qubit mapping gives a negative index")
+    if len(set(image.values())) != len(image):
+        raise ValueError("qubit mapping sends two used qubits to one")
+    gates = [Gate._checked(g.kind, tuple(map(image.__getitem__, g.qubits)),
+                           g.angle, g.matrix) for g in circuit.gates]
     return Circuit(num_qubits, gates, ancilla_roles)
 
 
@@ -402,20 +429,23 @@ def inverse(circuit: Circuit) -> Circuit:
 
     T <-> Tdg, rotations negate their angle, U2/CU2 take the conjugate
     transpose.  X, H, CX, CCX and RCCX are their own adjoints (for RCCX
-    this is a property of its defining network).
+    this is a property of its defining network).  The adjoint of a checked
+    gate needs no check of its own.
     """
     out = []
     for g in reversed(circuit.gates):
         if g.kind in _ADJOINT_SELF:
             out.append(g)
         elif g.kind == "T":
-            out.append(Gate("Tdg", g.qubits))
+            out.append(Gate._checked("Tdg", g.qubits))
         elif g.kind == "Tdg":
-            out.append(Gate("T", g.qubits))
+            out.append(Gate._checked("T", g.qubits))
         elif g.kind in ANGLE_KINDS:
-            out.append(Gate(g.kind, g.qubits, angle=-g.angle))
+            out.append(Gate._checked(g.kind, g.qubits, angle=-g.angle))
         elif g.kind in MATRIX_KINDS:
-            out.append(Gate(g.kind, g.qubits, matrix=g.matrix.conj().T))
+            m = g.matrix.conj().T
+            m.setflags(write=False)
+            out.append(Gate._checked(g.kind, g.qubits, matrix=m))
         else:  # pragma: no cover
             raise ValueError("no adjoint for %r" % (g.kind,))
     return Circuit(circuit.num_qubits, out, circuit.ancilla_roles)

@@ -10,12 +10,15 @@ Each store writes ``not(host) xor (u and v)`` onto a host wire.  A host is
 only safe if the values its current contents depend on ("certificate") are
 disjoint from the operands being merged.  The scheduler tracks certificates
 explicitly and makes one deterministic pass per n, with no seeds and no
-retries.  Up to ``STRICT_MAX_N`` the pass is strict and raises if its
-schedule is not certificate-valid; those schedules are long boot chains, so
-the clean depth is about 11n (176 at n = 16, 318 at n = 29), not
-logarithmic.  Above ``STRICT_MAX_N`` a best-effort pass keeps the count and
-a logarithmic depth, but its circuits are wrong on some near-firing inputs
-and ``qsynth verify`` reports FAIL for them.
+retries.  A merge wave hosts only on slots freed in earlier waves, so it
+stops pairing once none of those is left; the pass then costs O(n^2),
+about 0.25 s at n = 1024 and 4 s at n = 4096.  Up to ``STRICT_MAX_N`` the
+pass is strict and raises if its schedule is not certificate-valid; those
+schedules are long boot chains, so the clean depth is about 11n (176 at
+n = 16, 318 at n = 29), not logarithmic.  Above ``STRICT_MAX_N`` a
+best-effort pass keeps the count and a logarithmic depth, but its circuits
+are wrong on some near-firing inputs and ``qsynth verify`` reports FAIL
+for them.
 """
 from __future__ import annotations
 
@@ -61,7 +64,12 @@ def _attempt(n, K, strict=True):
     the remaining raw controls in waves, then folds the chain top-down
     onto the second anchor.  A wave only hosts on slots freed in earlier
     waves, and every host is the free slot with the smallest certificate
-    that shares no value with the operands.  The chain is sequential: with
+    that shares no value with the operands.  Each store spends one such
+    slot and frees two that only later waves may use, so once the older
+    slots are spent no pairing can succeed: the wave stops there and its
+    unpaired values pass, in order, to the next wave.  The pass is then
+    O(n^2), spent scanning the pool for each host and updating the
+    certificates after each store.  The chain is sequential: with
     the K that ``_schedule`` passes up to ``STRICT_MAX_N`` it holds most
     controls, so the depth grows linearly; only the waves are
     logarithmic.
@@ -140,7 +148,9 @@ def _attempt(n, K, strict=True):
         rnd[0] += 1
         nxt = []
         pending = list(vals)
-        while len(pending) > 1:
+        # host slots freed before this wave; none left ends the pairing
+        older = sum(1 for s in pool if s[2] < rnd[0])
+        while len(pending) > 1 and older:
             u = pending.pop(0)
             hit = None
             for j in range(len(pending)):
@@ -156,6 +166,7 @@ def _attempt(n, K, strict=True):
             j, p = hit
             v = pending.pop(j)
             nxt.append(store(u, v, pool.pop(p)))
+            older -= 1
         nxt.extend(pending)
         if len(nxt) >= len(vals):
             if rescues:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qsynth import ir
 from qsynth.bench import FAMILY_TARGET, build
 from qsynth.ir import (Circuit, Gate, cnot_count, count_gates, depth,
                        export_text, inverse, lower, parse_json, remap,
@@ -130,11 +131,40 @@ def test_inverse_reverses_adjoints(rng):
     assert np.abs(unitary_of(ic) - M.conj().T).max() < 1e-12
 
 
-def test_remap():
+def test_remap(rng, monkeypatch):
     a = Circuit(2, [Gate("CX", (0, 1))])
     r = remap(a, {0: 2, 1: 0}, 3)
     assert r.num_qubits == 3
     assert r.gates[0].qubits == (2, 0)
+    # the mapping is checked once: used qubits go to distinct indices >= 0,
+    # even where the merged qubits never share a gate
+    b = Circuit(3, [Gate("X", (0,)), Gate("H", (2,))])
+    for bad in ({0: 1, 1: 1, 2: 1}, {0: -1, 2: 0}, {0: 0.0, 2: 1}):
+        with pytest.raises(ValueError):
+            remap(b, bad, 3)
+    # moved and inverted gates keep their checked fields, so no matrix is
+    # checked again, and they equal the gates the checked path builds
+    c = Circuit(3, [Gate("U2", (0,), matrix=random_su2(rng)),
+                    Gate("CU2", (1, 2), matrix=random_su2(rng)),
+                    Gate("Rz", (2,), angle=0.3), Gate("T", (1,)),
+                    Gate("Tdg", (0,)), Gate("CCX", (0, 1, 2))])
+    mapping = {0: 4, 1: 0, 2: 3}
+    adjoint = {"T": "Tdg", "Tdg": "T"}
+    want_r = [Gate(g.kind, [mapping[q] for q in g.qubits], g.angle, g.matrix)
+              for g in c.gates]
+    want_i = [Gate(adjoint.get(g.kind, g.kind), g.qubits,
+                   None if g.angle is None else -g.angle,
+                   None if g.matrix is None else g.matrix.conj().T)
+              for g in reversed(c.gates)]
+    calls = []
+    real_check = ir.check_unitary
+    monkeypatch.setattr(ir, "check_unitary",
+                        lambda *a: calls.append(1) or real_check(*a))
+    moved, inv = remap(c, mapping, 5), inverse(c)
+    assert not calls
+    assert list(moved.gates) == want_r and list(inv.gates) == want_i
+    for g in moved.gates + inv.gates:
+        assert g.matrix is None or not g.matrix.flags.writeable
 
 
 def test_depth_and_report_match_the_lowered_circuit(rng):

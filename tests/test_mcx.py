@@ -35,7 +35,7 @@ def test_cnx_oracle_against_simulator():
             assert np.abs(unitary_of(c) - want).max() < 1e-13
 
 
-@pytest.mark.parametrize("n", range(3, 41))
+@pytest.mark.parametrize("n", [*range(3, 41), 512, 1024, 2048, 4096])
 def test_counts_exact(n):
     assert cnot_count(mcx_log(McxSpec(n, "clean"))) == 6 * n - 6
     assert cnot_count(mcx_log(McxSpec(n, "dirty"))) == 12 * n - 18
