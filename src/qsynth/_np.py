@@ -1,36 +1,49 @@
-"""numpy, loaded on its first attribute access instead of at import.
+"""Modules loaded on their first attribute access instead of at import.
+
+``lazy(name)`` puts a module in ``sys.modules`` without running its code;
+the code runs when something first reads one of its attributes.  qsynth
+uses it for numpy and for its own matrix modules ``su2``, ``approx`` and
+``sim``, which ``qsynth/__init__`` registers this way.
 
 The synthesizers for mcx and mcmt-x, matrix-free export and count-only
 bench are pure CX/Toffoli work and never build a matrix, so a request that
-only does those never runs numpy's import.  Two rules keep it that way:
+only does those runs neither numpy's import nor the matrix modules.  Three
+rules keep it that way:
 
 - qsynth modules take numpy as ``from ._np import np`` and never write
-  ``import numpy``: on Python 3.11 an ``import numpy`` statement reads the
+  ``import numpy``: on Python 3.11 an ``import`` statement reads the
   module's ``__spec__``, and that access runs the whole load at once;
+- for the same reason ``cli``, ``bench``, ``ir`` and ``mcx`` have no
+  top-level import of ``su2``, ``approx`` or ``sim``: they import them
+  inside the function branch that needs them;
 - no qsynth module builds an array at import time; constants that hold
   matrices are cached functions instead (``ir.fixed_matrix``).
 
-A numpy that is already loaded is used as it is.  Otherwise the lazy module
-is put in ``sys.modules``, so numpy's own relative imports and any later
-``import numpy`` find this one object, never a second copy.
+A module that is already loaded is used as it is.  Otherwise the lazy module
+is put in ``sys.modules``, so relative imports and any later ``import``
+statement find this one object, never a second copy, and tools that look
+modules up there (a tracer that rebinds their functions) find them too.
 """
 import importlib.util
 import sys
 
 
-def _numpy():
-    loaded = sys.modules.get("numpy")
+def lazy(name):
+    """The module ``name``, registered in ``sys.modules`` but not run until
+    its first attribute access.  The parent package of a submodule must be
+    imported already."""
+    loaded = sys.modules.get(name)
     if loaded is not None:
         return loaded
-    # None when numpy is not installed, or blocked by a None entry
-    spec = importlib.util.find_spec("numpy")
+    # None when the module is not installed, or blocked by a None entry
+    spec = importlib.util.find_spec(name)
     if spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+        raise ModuleNotFoundError("No module named %r" % name, name=name)
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
 
-np = _numpy()
+np = lazy("numpy")

@@ -11,30 +11,26 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._np import np
-from .ir import Circuit, Gate, check_unitary, inverse, remap
-from .sim import rx_mat
+from .ir import Circuit, Gate, check_unitary, inverse, remap, rx_mat
 from .su2 import McmtSpec, mcmt_su2
 
 
-@dataclass(frozen=True)
-class ApproxParams:
+class ApproxParams(namedtuple("ApproxParams", "epsilon theta alpha n_b n_e")):
     """Parameters chosen for one approximate decomposition."""
-    epsilon: float
-    theta: float
-    alpha: float
-    n_b: int
-    n_e: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_b < 1 or self.n_e < 0:
             raise ValueError("bad base/extra split")
         if not 0 < self.epsilon < 2:
             raise ValueError("epsilon must lie in (0, 2)")
         if not 0 <= self.theta < 2 * math.pi:
             raise ValueError("theta out of range")
+        return self
 
 
 def su2_angle(U):
@@ -64,11 +60,6 @@ def nb_from_epsilon(theta, epsilon):
                          "use exact synthesis instead")
     phi = math.acos(1.0 - epsilon ** 2 / 2.0)
     return max(1, math.ceil(math.log2(abs(theta) / phi)))
-
-
-def root_gate(U, j):
-    """Principal 2^j-th root of a 2x2 unitary via eigenphase division."""
-    return _mat_power(U, 1.0 / (1 << j))
 
 
 def _mat_power(U, p):
@@ -118,13 +109,6 @@ def _ladder(gates, U, controls, targ, first, mid_hook=None):
     if first:
         _ladder(gates, U, controls[:-1], controls[-1], False,
                 mid_hook=mid_hook)
-
-
-def _exact_mcu(n, U) -> Circuit:
-    """Exact C^nU over n+1 qubits (no truncation); small n only in tests."""
-    gates = []
-    _ladder(gates, U, list(range(n)), n, True)
-    return Circuit(n + 1, gates)
 
 
 def approx_mcu(n, U, epsilon, n_b=None):
@@ -180,4 +164,4 @@ def approx_mcu(n, U, epsilon, n_b=None):
         gates.extend(block2.gates if inv else block1.gates)
 
     _ladder(gates, U, base, targ, True, mid_hook=mid_hook)
-    return Circuit(n + 1, gates), params
+    return Circuit._checked(n + 1, gates), params

@@ -8,13 +8,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._np import np
-from .approx import approx_mcu, nb_from_epsilon, su2_angle
 from .ir import cnot_count, depth, fixed_matrix, rz_mat
 from .mcx import McxSpec, mcx_log
-from .su2 import McmtSpec, baseline_counts, mcmt_su2, mcmt_x
 
 # bench family -> (synthesis target, ancilla kind)
 FAMILY_TARGET = {
@@ -48,6 +46,8 @@ def build(target, n, m=1, ancilla="clean", gate=None, epsilon=0.1,
     of mcx, ``gate`` the 2x2 unitary of mcmt-su2 and approx-u.  The spec is
     left to a function because it needs the verifier, and the mcx and
     mcmt-x specs hold X matrices: synthesis alone has no use for either.
+    Each branch imports the constructions it runs, so an mcx request loads
+    neither ``su2`` nor ``approx``.
     """
     if gate is None:
         gate = default_gate(target)
@@ -55,15 +55,19 @@ def build(target, n, m=1, ancilla="clean", gate=None, epsilon=0.1,
         c = mcx_log(McxSpec(n, ancilla))
         return c, lambda: _spec("mcx", n, (fixed_matrix("X"),), ancilla)
     if target == "mcmt-x":
+        from .su2 import mcmt_x
         c = mcmt_x(n, m)
         return c, lambda: _spec("mcmt-x", n, (fixed_matrix("X"),) * m,
                                 "clean")
     if target == "mcmt-su2":
+        from .approx import su2_angle
+        from .su2 import McmtSpec, mcmt_su2
         # multi-target SU(2) synthesis works up to the global phase
         ws = (gate * cmath.exp(-1j * su2_angle(gate)[1]),) * m
         c = mcmt_su2(McmtSpec(n, m, ws))
         return c, lambda: _spec("mcmt-su2", n, ws)
     if target == "approx-u":
+        from .approx import approx_mcu
         c, params = approx_mcu(n, gate, epsilon, n_b)
         return c, lambda: _spec("approx-u", n, (gate,), epsilon=epsilon,
                                 n_b=params.n_b)
@@ -77,16 +81,31 @@ def _spec(*fields, **kw):
     return Spec(*fields, **kw)
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(namedtuple("BenchRow", "family n m cnot depth baseline_cnot "
+                          "baseline_depth")):
     """One benchmark data point with its published-baseline columns."""
-    family: str
-    n: int
-    m: int
-    cnot: int
-    depth: int
-    baseline_cnot: float
-    baseline_depth: float
+    __slots__ = ()
+
+
+def baseline_counts(family, n, m=1):
+    """Closed-form benchmark baselines: (cnot_or_gate_count, depth).
+
+    Families: 'silva_linear_su2' (16n+8m-32 CX, depth 32n+8m-52),
+    'khattar_clean' (8n-12 gates, 2n-3 Toffolis), 'khattar_dirty'
+    (16n-32 gates, 4n-8 Toffolis), 'fit_ours' / 'fit_khattar'
+    (published log-depth fit lines; depth only, count is None).
+    """
+    if family == "silva_linear_su2":
+        return 16 * n + 8 * m - 32, 32 * n + 8 * m - 52
+    if family == "khattar_clean":
+        return 8 * n - 12, None
+    if family == "khattar_dirty":
+        return 16 * n - 32, None
+    if family == "fit_ours":
+        return None, 25.5903 * math.log2(n) - 12.1237
+    if family == "fit_khattar":
+        return None, 29.3675 * math.log2(n) - 28.2752
+    raise ValueError("unknown baseline family %r" % (family,))
 
 
 def _baselines(family, n, m, epsilon):
@@ -100,6 +119,7 @@ def _baselines(family, n, m, epsilon):
         return baseline_counts("silva_linear_su2", n, m)
     # approx_u: published upper bound of the approximate scheme itself, next
     # to the linear-baseline depth for the single-target case
+    from .approx import nb_from_epsilon, su2_angle
     n_b = nb_from_epsilon(su2_angle(default_gate("approx-u"))[0], epsilon)
     cnot = 4 * (n_b - 1) ** 2 + 24 * n - 8 * n_b - 4
     return cnot, baseline_counts("silva_linear_su2", n, 1)[1]

@@ -7,8 +7,6 @@ DecompReport summary and diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
-import ast
-import json
 import math
 import operator
 import re
@@ -36,27 +34,30 @@ _NAMED = {
     "h": lambda: fixed_matrix("H"),
 }
 _ROT = {"rx": rx_mat, "ry": ry_mat, "rz": rz_mat}
-_ARITH = {ast.Add: operator.add, ast.Sub: operator.sub,
-          ast.Mult: operator.mul, ast.Div: operator.truediv,
-          ast.USub: operator.neg, ast.UAdd: operator.pos}
+# syntax-tree operator class name -> its function
+_ARITH = {"Add": operator.add, "Sub": operator.sub, "Mult": operator.mul,
+          "Div": operator.truediv, "USub": operator.neg,
+          "UAdd": operator.pos}
 
 
 def _eval_angle(node):
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+    kind, op = type(node).__name__, type(getattr(node, "op", None)).__name__
+    if kind == "Constant" and type(node.value) in (int, float):
         return float(node.value)
-    if isinstance(node, ast.Name) and node.id == "pi":
+    if kind == "Name" and node.id == "pi":
         return math.pi
-    if isinstance(node, ast.BinOp) and type(node.op) in _ARITH:
-        return _ARITH[type(node.op)](_eval_angle(node.left),
-                                     _eval_angle(node.right))
-    if isinstance(node, ast.UnaryOp) and type(node.op) in _ARITH:
-        return _ARITH[type(node.op)](_eval_angle(node.operand))
+    if kind == "BinOp" and op in _ARITH:
+        return _ARITH[op](_eval_angle(node.left), _eval_angle(node.right))
+    if kind == "UnaryOp" and op in _ARITH:
+        return _ARITH[op](_eval_angle(node.operand))
     raise ValueError("unsupported element")
 
 
 def parse_angle(expr):
     """Finite float angle expression: numbers, ``pi``, + - * /,
     parentheses."""
+    # imported here, so only the requests that name an angle load it
+    import ast
     try:
         a = _eval_angle(ast.parse((expr or "").strip(), mode="eval").body)
     except (SyntaxError, ValueError, ZeroDivisionError, RecursionError):
@@ -109,6 +110,7 @@ def parse_gate_spec(text):
     m = re.fullmatch(r"(rx|ry|rz)\((.*)\)", low)
     if m:
         return _ROT[m.group(1)](parse_angle(m.group(2)))
+    import json
     try:
         data = json.loads(s)
     except ValueError:

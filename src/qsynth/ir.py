@@ -13,10 +13,9 @@ Gate operands are listed controls first, target last.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from ._np import np
@@ -169,6 +168,23 @@ class Gate:
 ANCILLA_ROLES = ("none", "clean", "dirty")
 
 
+def _register(num_qubits, ancilla_roles):
+    """Checked (num_qubits, ancilla_roles) of a circuit; roles default to
+    'none' on every qubit."""
+    num_qubits = int(num_qubits)
+    if num_qubits < 0:
+        raise ValueError("negative register size")
+    if ancilla_roles is None:
+        return num_qubits, ("none",) * num_qubits
+    ancilla_roles = tuple(ancilla_roles)
+    if len(ancilla_roles) != num_qubits:
+        raise ValueError("ancilla_roles length mismatch")
+    for r in ancilla_roles:
+        if r not in ANCILLA_ROLES:
+            raise ValueError("bad ancilla role %r" % (r,))
+    return num_qubits, ancilla_roles
+
+
 class Circuit:
     """Ordered gate sequence over a fixed register, immutable.
 
@@ -179,9 +195,7 @@ class Circuit:
     __slots__ = ("num_qubits", "gates", "ancilla_roles")
 
     def __init__(self, num_qubits, gates=(), ancilla_roles=None):
-        num_qubits = int(num_qubits)
-        if num_qubits < 0:
-            raise ValueError("negative register size")
+        num_qubits, ancilla_roles = _register(num_qubits, ancilla_roles)
         gates = tuple(gates)
         for g in gates:
             if not isinstance(g, Gate):
@@ -189,17 +203,21 @@ class Circuit:
             if max(g.qubits, default=-1) >= num_qubits:
                 raise ValueError("gate %r outside register of %d qubits"
                                  % (g, num_qubits))
-        if ancilla_roles is None:
-            ancilla_roles = ("none",) * num_qubits
-        ancilla_roles = tuple(ancilla_roles)
-        if len(ancilla_roles) != num_qubits:
-            raise ValueError("ancilla_roles length mismatch")
-        for r in ancilla_roles:
-            if r not in ANCILLA_ROLES:
-                raise ValueError("bad ancilla role %r" % (r,))
         object.__setattr__(self, "num_qubits", num_qubits)
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "ancilla_roles", ancilla_roles)
+
+    @classmethod
+    def _checked(cls, num_qubits, gates, ancilla_roles=None):
+        """A circuit whose parts already passed ``__init__``'s checks:
+        ``gates`` are Gates inside the register and ``ancilla_roles`` is
+        None or a valid tuple.  The gates are not checked again."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "num_qubits", num_qubits)
+        object.__setattr__(c, "gates", tuple(gates))
+        object.__setattr__(c, "ancilla_roles", ancilla_roles
+                           or ("none",) * num_qubits)
+        return c
 
     def __setattr__(self, name, value):
         raise AttributeError("Circuit is immutable")
@@ -222,30 +240,29 @@ class Circuit:
         return hash((self.num_qubits, self.ancilla_roles, len(self.gates)))
 
 
-@dataclass(frozen=True)
-class DecompReport:
+class DecompReport(namedtuple("DecompReport", "cnot_count total_gates "
+                              "depth num_ancilla ancilla_kind")):
     """Resource summary for one synthesized circuit."""
-    cnot_count: int
-    total_gates: int
-    depth: int
-    num_ancilla: int
-    ancilla_kind: str
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.cnot_count, self.total_gates, self.depth,
                self.num_ancilla) < 0:
             raise ValueError("negative count in report")
         if self.depth > self.total_gates:
             raise ValueError("depth exceeds gate count")
+        return self
 
 
 def remap(circuit: Circuit, mapping, num_qubits, ancilla_roles=None) -> Circuit:
     """Embed a circuit into a larger register via a qubit-index map.
 
     ValueError unless ``mapping`` sends the qubits the gates use to
-    distinct non-negative integers.  That one check keeps every moved gate
-    valid, so the gates are not checked again.
+    distinct integers in ``[0, num_qubits)``.  That one check keeps every
+    moved gate valid, so the gates are not checked again.
     """
+    num_qubits, ancilla_roles = _register(num_qubits, ancilla_roles)
     try:
         image = {q: operator.index(mapping[q])
                  for g in circuit.gates for q in g.qubits}
@@ -253,11 +270,14 @@ def remap(circuit: Circuit, mapping, num_qubits, ancilla_roles=None) -> Circuit:
         raise ValueError("qubit mapping must give integers") from None
     if min(image.values(), default=0) < 0:
         raise ValueError("qubit mapping gives a negative index")
+    if max(image.values(), default=-1) >= num_qubits:
+        raise ValueError("qubit mapping leaves the register of %d qubits"
+                         % num_qubits)
     if len(set(image.values())) != len(image):
         raise ValueError("qubit mapping sends two used qubits to one")
     gates = [Gate._checked(g.kind, tuple(map(image.__getitem__, g.qubits)),
                            g.angle, g.matrix) for g in circuit.gates]
-    return Circuit(num_qubits, gates, ancilla_roles)
+    return Circuit._checked(num_qubits, gates, ancilla_roles)
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +348,21 @@ def _abc(key):
                           dtype=complex) if abs(alpha) > 1e-15 else None)
     for m in parts:
         if m is not None:
+            # checked once here, so no gate lowered from it checks it again
+            check_unitary(m)
             m.setflags(write=False)
     return tuple(parts)
 
 
 def _cu2_parts(c, t, U):
-    """Controlled-U via the ABC decomposition as (kind, qubits, matrix)
-    triples: 2 CX plus the single-qubit parts that are not the identity."""
+    """Controlled-U via the ABC decomposition as (kind, qubits, angle,
+    matrix) rows: 2 CX plus the single-qubit parts that are not the
+    identity."""
     C, B, A, phase = _abc(np.asarray(U, dtype=complex).tobytes())
-    rows = (("U2", (t,), C), ("CX", (c, t), None), ("U2", (t,), B),
-            ("CX", (c, t), None), ("U2", (t,), A), ("U2", (c,), phase))
-    return [r for r in rows if r[0] == "CX" or r[2] is not None]
+    rows = (("U2", (t,), None, C), ("CX", (c, t), None, None),
+            ("U2", (t,), None, B), ("CX", (c, t), None, None),
+            ("U2", (t,), None, A), ("U2", (c,), None, phase))
+    return [r for r in rows if r[0] == "CX" or r[3] is not None]
 
 
 @lru_cache(maxsize=1024)
@@ -357,10 +381,26 @@ def _lowered_operands(circuit):
         if g.kind in LOWERED_KINDS:
             yield g.qubits
         elif g.kind == "CU2":
-            for _, qubits, _ in _cu2_parts(*g.qubits, g.matrix):
-                yield qubits
+            for row in _cu2_parts(*g.qubits, g.matrix):
+                yield row[1]
         else:
             yield from _template_operands(g.kind, g.qubits)
+
+
+def _lowered_rows(circuit):
+    """Each gate of ``lower(circuit)`` as a (kind, qubits, angle, matrix)
+    row, in order, found without building any gate.  ``depth`` keeps its
+    own operand walk, which builds no row either."""
+    for g in circuit.gates:
+        if g.kind in LOWERED_KINDS:
+            yield g.kind, g.qubits, g.angle, g.matrix
+        elif g.kind == "CU2":
+            yield from _cu2_parts(*g.qubits, g.matrix)
+        else:
+            for (kind, _), qubits in zip(_TEMPLATES[g.kind],
+                                         _template_operands(g.kind,
+                                                            g.qubits)):
+                yield kind, qubits, None, None
 
 
 def lower(circuit: Circuit) -> Circuit:
@@ -373,18 +413,10 @@ def lower(circuit: Circuit) -> Circuit:
     """
     if all(g.kind in LOWERED_KINDS for g in circuit.gates):
         return circuit
-    out = []
-    for g in circuit.gates:
-        if g.kind in LOWERED_KINDS:
-            out.append(g)
-        elif g.kind == "CU2":
-            out.extend(Gate(kind, qubits, matrix=m)
-                       for kind, qubits, m in _cu2_parts(*g.qubits, g.matrix))
-        else:
-            out.extend(Gate(kind, qubits) for (kind, _), qubits in
-                       zip(_TEMPLATES[g.kind],
-                           _template_operands(g.kind, g.qubits)))
-    return Circuit(circuit.num_qubits, out, circuit.ancilla_roles)
+    return Circuit._checked(circuit.num_qubits,
+                            [Gate._checked(*row)
+                             for row in _lowered_rows(circuit)],
+                            circuit.ancilla_roles)
 
 
 # CX contribution of each kind once lowered; used for fast counting
@@ -432,8 +464,15 @@ def inverse(circuit: Circuit) -> Circuit:
     this is a property of its defining network).  The adjoint of a checked
     gate needs no check of its own.
     """
+    return Circuit._checked(circuit.num_qubits, inverse_gates(circuit.gates),
+                            circuit.ancilla_roles)
+
+
+def inverse_gates(gates) -> list:
+    """The gates of ``inverse`` for a gate sequence: reversed, each
+    replaced by its adjoint."""
     out = []
-    for g in reversed(circuit.gates):
+    for g in reversed(gates):
         if g.kind in _ADJOINT_SELF:
             out.append(g)
         elif g.kind == "T":
@@ -448,7 +487,7 @@ def inverse(circuit: Circuit) -> Circuit:
             out.append(Gate._checked(g.kind, g.qubits, matrix=m))
         else:  # pragma: no cover
             raise ValueError("no adjoint for %r" % (g.kind,))
-    return Circuit(circuit.num_qubits, out, circuit.ancilla_roles)
+    return out
 
 
 def report_for(circuit: Circuit, ancilla_kind="none") -> DecompReport:
@@ -481,25 +520,25 @@ def _gate_to_json(g: Gate) -> dict:
 
 
 def _qasm_body(circuit: Circuit, u_name: str) -> list:
-    """Statement list shared by the two assembly dialects."""
-    low = lower(circuit)
+    """Statement list shared by the two assembly dialects, written from the
+    rows of the lowering without building it."""
     lines = []
-    for g in low.gates:
-        q = ",".join("q[%d]" % i for i in g.qubits)
-        if g.kind in FIXED_KINDS:
-            lines.append("%s %s;" % (g.kind.lower(), q))
-        elif g.kind in ANGLE_KINDS:
-            lines.append("%s(%s) %s;" % (g.kind.lower(),
-                                         _fmt_angle(g.angle), q))
-        elif g.kind == "CX":
+    for kind, qubits, angle, matrix in _lowered_rows(circuit):
+        # a lowered gate acts on one qubit or, as CX, on two
+        q = "q[%d]" % qubits if len(qubits) == 1 else "q[%d],q[%d]" % qubits
+        if kind in FIXED_KINDS:
+            lines.append("%s %s;" % (kind.lower(), q))
+        elif kind in ANGLE_KINDS:
+            lines.append("%s(%s) %s;" % (kind.lower(), _fmt_angle(angle), q))
+        elif kind == "CX":
             lines.append("cx %s;" % q)
-        elif g.kind == "U2":
-            _, beta, gamma, delta = zyz_angles(g.matrix)
+        elif kind == "U2":
+            _, beta, gamma, delta = zyz_angles(matrix)
             lines.append("%s(%s,%s,%s) %s;"
                          % (u_name, _fmt_angle(gamma), _fmt_angle(beta),
                             _fmt_angle(delta), q))
         else:  # pragma: no cover
-            raise ValueError("kind %r not exportable" % (g.kind,))
+            raise ValueError("kind %r not exportable" % (kind,))
     return lines
 
 
@@ -507,10 +546,13 @@ def export_text(circuit: Circuit, fmt: str) -> str:
     """Serialize a circuit as 'qasm2', 'qasm3' or 'json' text.
 
     The JSON dialect keeps macro gates and round-trips exactly through
-    :func:`parse_json`.  The assembly dialects lower the circuit first and
-    drop global phase (their gate sets are phase-free).
+    :func:`parse_json`.  The assembly dialects write the gates of
+    ``lower(circuit)`` without building it, and drop global phase (their
+    gate sets are phase-free).
     """
     if fmt == "json":
+        # imported here, so an assembly export does not load it
+        import json
         doc = {"n": circuit.num_qubits,
                "gates": [_gate_to_json(g) for g in circuit.gates]}
         if any(r != "none" for r in circuit.ancilla_roles):
@@ -534,6 +576,7 @@ def parse_json(text: str) -> Circuit:
     >= 0 and a ``gates`` list of objects that each have ``kind`` and
     ``qubits``; ``ancilla_roles`` is optional.
     """
+    import json
     doc = json.loads(text)
     if not (isinstance(doc, dict) and isinstance(doc.get("n"), int)
             and doc["n"] >= 0 and isinstance(doc.get("gates"), list)):

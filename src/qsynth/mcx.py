@@ -22,7 +22,7 @@ for them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .ir import Circuit, Gate
@@ -30,17 +30,17 @@ from .ir import Circuit, Gate
 ANCILLA_MODES = ("clean", "dirty")
 
 
-@dataclass(frozen=True)
-class McxSpec:
+class McxSpec(namedtuple("McxSpec", "n ancilla_mode", defaults=("clean",))):
     """Parameters of one n-controlled X synthesis request."""
-    n: int
-    ancilla_mode: str = "clean"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1:
             raise ValueError("need at least one control")
         if self.ancilla_mode not in ANCILLA_MODES:
             raise ValueError("ancilla_mode must be clean or dirty")
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +227,9 @@ def mcx_log(spec: McxSpec) -> Circuit:
     t, anc = n, n + 1
     roles = _roles(n, mode)
     if n == 1:
-        return Circuit(n + 2, [Gate("CX", (0, t))], roles)
+        return Circuit._checked(n + 2, [Gate("CX", (0, t))], roles)
     if n == 2:
-        return Circuit(n + 2, [Gate("CCX", (0, 1, t))], roles)
+        return Circuit._checked(n + 2, [Gate("CCX", (0, 1, t))], roles)
 
     w = Gate("RCCX", (0, 1, anc))
     stores, f = ((), 2) if n == 3 else _schedule(n)[:2]
@@ -238,4 +238,4 @@ def mcx_log(spec: McxSpec) -> Circuit:
     # mirror is its own adjoint gate-for-gate (X and RCCX are involutions)
     half = [*stores, Gate("CCX", (anc, f, t)), *stores[::-1]]
     gates = [w, *half, w] if mode == "clean" else [w, *half, w, *half]
-    return Circuit(n + 2, gates, roles)
+    return Circuit._checked(n + 2, gates, roles)

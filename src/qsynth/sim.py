@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from ._np import np
@@ -151,12 +151,9 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     return t.reshape(dim, dim)
 
 
-@dataclass(frozen=True)
-class EquivResult:
+class EquivResult(namedtuple("EquivResult", "distance passed mode")):
     """Distance plus pass/fail verdict from an equivalence check."""
-    distance: float
-    passed: bool
-    mode: str
+    __slots__ = ()
 
     def __bool__(self):
         return self.passed

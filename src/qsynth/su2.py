@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._np import np
-from .ir import Circuit, Gate, check_unitary, fixed_matrix, inverse, remap
+from .ir import (Circuit, Gate, check_unitary, fixed_matrix, inverse_gates,
+                 remap)
 from .mcx import McxSpec, mcx_log
 
 _SU2_TOL = 1e-10
@@ -154,7 +155,7 @@ def mcmt_x(n, m) -> Circuit:
     targets = list(range(n, n + m))
     if n == 1:
         gates = [Gate("CX", (0, t)) for t in targets]
-        return Circuit(nq, gates, roles)
+        return Circuit._checked(nq, gates, roles)
     # central mcx writes onto the first target; remap its register
     # (controls [0..n), target n, ancilla n+1) into ours
     core = mcx_log(McxSpec(n, "clean"))
@@ -166,26 +167,24 @@ def mcmt_x(n, m) -> Circuit:
     # propagate outward through the later-applied gates
     tree = _fanout_tree(targets)
     gates = tree[::-1] + list(core.gates) + tree
-    return Circuit(nq, gates, roles)
+    return Circuit._checked(nq, gates, roles)
 
 
 # ---------------------------------------------------------------------------
 # multi-controlled multi-target SU(2)
 
-@dataclass(frozen=True)
-class McmtSpec:
-    """Parameters of one C^n(W_1 x ... x W_m) synthesis request."""
-    n: int
-    m: int
-    gates: tuple  # per-target 2x2 SU(2) matrices, length m
+class McmtSpec(namedtuple("McmtSpec", "n m gates")):
+    """Parameters of one C^n(W_1 x ... x W_m) synthesis request; ``gates``
+    holds the m per-target 2x2 SU(2) matrices."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
+    def __new__(cls, n, m, gates):
+        if n < 1 or m < 1:
             raise ValueError("need n >= 1 and m >= 1")
-        mats = tuple(_check_su2(W) for W in self.gates)
-        if len(mats) != self.m:
+        mats = tuple(_check_su2(W) for W in gates)
+        if len(mats) != m:
             raise ValueError("need exactly m target gates")
-        object.__setattr__(self, "gates", mats)
+        return super().__new__(cls, n, m, mats)
 
 
 def _u2(t, M):
@@ -207,7 +206,7 @@ def mcmt_su2(spec: McmtSpec) -> Circuit:
     if n == 1:
         gates = [Gate("CU2", (0, 1 + i), matrix=W)
                  for i, W in enumerate(spec.gates)]
-        return Circuit(1 + m, gates)
+        return Circuit._checked(1 + m, gates)
     if n == 2:
         return _mcmt_su2_two_controls(spec)
     nq = n + m
@@ -224,7 +223,7 @@ def mcmt_su2(spec: McmtSpec) -> Circuit:
     mapping[n - 1 + m] = k2
     inner = remap(inner, mapping, nq)
     g_fwd = [Gate("X", (k2,))] + list(inner.gates) + [Gate("X", (k2,))]
-    g_bwd = list(inverse(Circuit(nq, g_fwd)).gates)
+    g_bwd = inverse_gates(g_fwd)
 
     k2_fan = [Gate("CX", (k2, t)) for t in targets]
 
@@ -241,7 +240,7 @@ def mcmt_su2(spec: McmtSpec) -> Circuit:
     gates += [_u2(t, A) for t, (A, F) in zip(targets, pairs)]
     gates += k2_fan
     gates += [_u2(t, F) for t, (A, F) in zip(targets, pairs)]
-    return Circuit(nq, gates)
+    return Circuit._checked(nq, gates)
 
 
 def _mcmt_su2_two_controls(spec: McmtSpec) -> Circuit:
@@ -264,28 +263,4 @@ def _mcmt_su2_two_controls(spec: McmtSpec) -> Circuit:
             Gate("CX", (0, 1)),
             Gate("CU2", (0, t), matrix=V),
         ]
-    return Circuit(2 + spec.m, gates)
-
-
-# ---------------------------------------------------------------------------
-# published baselines
-
-def baseline_counts(family, n, m=1):
-    """Closed-form benchmark baselines: (cnot_or_gate_count, depth).
-
-    Families: 'silva_linear_su2' (16n+8m-32 CX, depth 32n+8m-52),
-    'khattar_clean' (8n-12 gates, 2n-3 Toffolis), 'khattar_dirty'
-    (16n-32 gates, 4n-8 Toffolis), 'fit_ours' / 'fit_khattar'
-    (published log-depth fit lines; depth only, count is None).
-    """
-    if family == "silva_linear_su2":
-        return 16 * n + 8 * m - 32, 32 * n + 8 * m - 52
-    if family == "khattar_clean":
-        return 8 * n - 12, None
-    if family == "khattar_dirty":
-        return 16 * n - 32, None
-    if family == "fit_ours":
-        return None, 25.5903 * math.log2(n) - 12.1237
-    if family == "fit_khattar":
-        return None, 29.3675 * math.log2(n) - 28.2752
-    raise ValueError("unknown baseline family %r" % (family,))
+    return Circuit._checked(2 + spec.m, gates)

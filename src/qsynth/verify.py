@@ -16,7 +16,7 @@ tier the register size selects:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import combinations
 
@@ -33,17 +33,12 @@ MAX_ROWS = 1 << 21     # sparse rows held at once: about 100 MB at 20 qubits
 _ALL_PAIRS = 64        # up to this many controls, every pair is cleared
 
 
-@dataclass(frozen=True)
-class Spec:
-    """What a circuit must do.  ``target`` keys CNOT_TABLE; ``ancilla`` is
-    clean, dirty or none; ``epsilon`` and ``n_b`` (base controls [0, n_b])
-    describe an approximate circuit."""
-    target: str
-    n: int
-    ws: tuple
-    ancilla: str = "none"
-    epsilon: float = None
-    n_b: int = None
+class Spec(namedtuple("Spec", "target n ws ancilla epsilon n_b",
+                      defaults=("none", None, None))):
+    """What a circuit must do.  ``target`` keys CNOT_TABLE; ``ws`` holds
+    the target gates; ``ancilla`` is clean, dirty or none; ``epsilon`` and
+    ``n_b`` (base controls [0, n_b]) describe an approximate circuit."""
+    __slots__ = ()
 
 
 # target -> (exact?, CX count of (n, m, ancilla, n_b)).  An exact count must
@@ -60,13 +55,10 @@ CNOT_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "tier inputs fails note",
+                         defaults=("",))):
     """Which tier ran, how many inputs it covered, and what failed."""
-    tier: str
-    inputs: int
-    fails: tuple
-    note: str = ""
+    __slots__ = ()
 
     def lines(self):
         head = "tier=%s inputs=%d" % (self.tier, self.inputs)

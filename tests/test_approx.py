@@ -3,12 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from qsynth.approx import (ApproxParams, _exact_mcu, approx_mcu,
-                           nb_from_epsilon, root_gate, su2_angle)
-from qsynth.ir import cnot_count, lower, report_for
+from qsynth.approx import (ApproxParams, _ladder, _mat_power, approx_mcu,
+                           nb_from_epsilon, su2_angle)
+from qsynth.ir import Circuit, cnot_count, lower, report_for
 from qsynth.sim import apply, rx_mat, rz_mat, spectral_distance, unitary_of
 
 from conftest import X, ctrl_u, random_su2
+
+
+def root_gate(U, j):
+    """Principal 2^j-th root of a 2x2 unitary via eigenphase division."""
+    return _mat_power(U, 1.0 / (1 << j))
+
+
+def _exact_mcu(n, U):
+    """Exact C^nU over n+1 qubits: the column ladder with no truncation."""
+    gates = []
+    _ladder(gates, U, list(range(n)), n, True)
+    return Circuit(n + 1, gates)
 
 
 def test_su2_angle_of_x():

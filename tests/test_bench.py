@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qsynth.bench import (BenchRow, CSV_HEADER, fit_log, run_family, to_csv)
+from qsynth.bench import (BenchRow, CSV_HEADER, baseline_counts, fit_log,
+                          run_family, to_csv)
 
 
 def test_mcx_clean_reference_counts():
@@ -80,3 +81,15 @@ def test_fit_log_accepts_bench_rows():
     a, b, r2 = fit_log(rows)
     assert a > 0
     assert 0 <= r2 <= 1
+
+
+def test_baseline_counts_table():
+    assert baseline_counts("silva_linear_su2", 10, 2) == (144, 284)
+    assert baseline_counts("khattar_clean", 10) == (68, None)
+    assert baseline_counts("khattar_dirty", 10) == (128, None)
+    a, d = baseline_counts("fit_ours", 16)
+    assert a is None and abs(d - (25.5903 * 4 - 12.1237)) < 1e-9
+    a, d = baseline_counts("fit_khattar", 16)
+    assert a is None and abs(d - (29.3675 * 4 - 28.2752)) < 1e-9
+    with pytest.raises(ValueError):
+        baseline_counts("linear", 4)

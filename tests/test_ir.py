@@ -8,7 +8,7 @@ from qsynth.bench import FAMILY_TARGET, build
 from qsynth.ir import (Circuit, Gate, cnot_count, count_gates, depth,
                        export_text, inverse, lower, parse_json, remap,
                        report_for)
-from qsynth.sim import rz_mat, unitary_of
+from qsynth.sim import rx_mat, ry_mat, rz_mat, unitary_of
 
 from conftest import H, X, random_circuit, random_su2
 
@@ -139,7 +139,8 @@ def test_remap(rng, monkeypatch):
     # the mapping is checked once: used qubits go to distinct indices >= 0,
     # even where the merged qubits never share a gate
     b = Circuit(3, [Gate("X", (0,)), Gate("H", (2,))])
-    for bad in ({0: 1, 1: 1, 2: 1}, {0: -1, 2: 0}, {0: 0.0, 2: 1}):
+    for bad in ({0: 1, 1: 1, 2: 1}, {0: -1, 2: 0}, {0: 0.0, 2: 1},
+                {0: 0, 2: 3}):
         with pytest.raises(ValueError):
             remap(b, bad, 3)
     # moved and inverted gates keep their checked fields, so no matrix is
@@ -167,6 +168,13 @@ def test_remap(rng, monkeypatch):
         assert g.matrix is None or not g.matrix.flags.writeable
 
 
+def _family_circuits():
+    """Every bench family's ``build`` circuit at three sizes."""
+    for target, ancilla in FAMILY_TARGET.values():
+        for n in (10, 12, 17) if target == "approx-u" else (3, 6, 21):
+            yield build(target, n, 2, ancilla)[0]
+
+
 def test_depth_and_report_match_the_lowered_circuit(rng):
     circuits = [random_circuit(nq, rng) for nq in range(2, 7)
                 for _ in range(3)]
@@ -174,13 +182,61 @@ def test_depth_and_report_match_the_lowered_circuit(rng):
     circuits += [Circuit(2, [Gate("H", (1,)), Gate("CU2", (0, 1), matrix=U)])
                  for U in (np.eye(2), np.diag([1, 1j]), X, rz_mat(0.3),
                            -np.eye(2))]
-    for target, ancilla in FAMILY_TARGET.values():
-        for n in (10, 12, 17) if target == "approx-u" else (3, 6, 21):
-            circuits.append(build(target, n, 2, ancilla)[0])
+    circuits += _family_circuits()
     for c in circuits:
         low = lower(c)
         assert depth(c) == depth(low), c
         assert report_for(c).total_gates == len(low.gates), c
+
+
+def test_unchecked_builds_pass_the_public_checks(rng):
+    # the constructions, lower, remap and inverse build their circuits
+    # without checking each gate; the checked constructors accept them all
+    cs = list(_family_circuits())
+    cs += [lower(c) for c in cs] + [inverse(c) for c in cs]
+    cs += [remap(c, {q: q + 1 for q in range(c.num_qubits)},
+                 c.num_qubits + 1) for c in cs]
+    for c in cs:
+        again = [Gate(g.kind, g.qubits, g.angle, g.matrix) for g in c.gates]
+        assert Circuit(c.num_qubits, again, c.ancilla_roles) == c, c
+
+
+def _qasm_from_gates(c, fmt):
+    """Assembly text of ``c`` written gate by gate from ``lower(c)``."""
+    if fmt == "qasm2":
+        lines, u = ['OPENQASM 2.0;', 'include "qelib1.inc";',
+                    'qreg q[%d];' % c.num_qubits], "u3"
+    else:
+        lines, u = ['OPENQASM 3.0;', 'include "stdgates.inc";',
+                    'qubit[%d] q;' % c.num_qubits], "U"
+    for g in lower(c).gates:
+        q = ",".join("q[%d]" % i for i in g.qubits)
+        if g.kind in ("X", "H", "T", "Tdg"):
+            lines.append("%s %s;" % (g.kind.lower(), q))
+        elif g.kind in ("Rx", "Ry", "Rz"):
+            lines.append("%s(%.17g) %s;" % (g.kind.lower(), g.angle, q))
+        elif g.kind == "CX":
+            lines.append("cx %s;" % q)
+        else:
+            assert g.kind == "U2"
+            _, beta, gamma, delta = ir.zyz_angles(g.matrix)
+            lines.append("%s(%.17g,%.17g,%.17g) %s;"
+                         % (u, gamma, beta, delta, q))
+    return "\n".join(lines) + "\n"
+
+
+def test_assembly_export_matches_the_lowered_gates(rng):
+    circuits = list(_family_circuits())
+    circuits += [Circuit(3, [Gate("CU2", (2, 0), matrix=U),
+                             Gate("Rx", (1,), angle=0.7),
+                             Gate("Ry", (0,), angle=-1.25),
+                             Gate("Rz", (2,), angle=np.pi / 3)])
+                 for U in (np.eye(2), np.diag([1, 1j]), X, rx_mat(0.4),
+                           ry_mat(2.0), rz_mat(0.3), random_su2(rng))]
+    circuits.append(random_circuit(5, rng))
+    for c in circuits:
+        for fmt in ("qasm2", "qasm3"):
+            assert export_text(c, fmt) == _qasm_from_gates(c, fmt), c
 
 
 def test_report_for_counts():

@@ -1,6 +1,6 @@
-"""numpy loads on first matrix use, and the verifier on the first verify;
-these run in fresh interpreters, since conftest imports numpy before qsynth
-for every in-process test."""
+"""numpy and the matrix modules load on first use, and the verifier on the
+first verify; these run in fresh interpreters, since conftest imports numpy
+before qsynth for every in-process test."""
 import os
 import subprocess
 import sys
@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+import qsynth
 from qsynth.cli import run
 from qsynth.ir import export_text
 from qsynth.mcx import McxSpec, mcx_log
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def fresh(code, *argv):
@@ -23,13 +25,20 @@ def fresh(code, *argv):
                           capture_output=True, text=True, timeout=60)
 
 
+# after the request, name on stderr each module it loaded of those that
+# only matrix work, verification or dataclasses need; a lazy module is in
+# sys.modules from the start, and counts once its code has run
 _RUN_THEN_CHECK = """
-import sys
+import sys, types
 import qsynth.cli
 code = qsynth.cli.run(sys.argv[1:])
 sys.stdout.flush()
-sys.exit(code if "numpy._core" not in sys.modules
-         and "qsynth.verify" not in sys.modules else 99)
+ran = [m for m in ("qsynth.su2", "qsynth.approx", "qsynth.sim")
+       if type(sys.modules[m]) is types.ModuleType]
+ran += [m for m in ("numpy._core", "qsynth.verify", "dataclasses",
+                    "inspect") if m in sys.modules]
+sys.stderr.write("loaded:%s\\n" % "".join(" " + m for m in ran))
+sys.exit(code)
 """
 
 
@@ -41,11 +50,41 @@ sys.exit(code if "numpy._core" not in sys.modules
     ["bench", "--family", "mcx_clean", "--n-min", "3", "--n-max", "12"],
 ])
 def test_matrix_free_requests_never_load_numpy(tmp_path, argv):
+    """Nor the matrix modules, the verifier or dataclasses: mcmt-x alone
+    runs su2, for its fanout around the mcx."""
     src = tmp_path / "mcx.json"
     src.write_text(export_text(mcx_log(McxSpec(9, "dirty")), "json"))
     r = fresh(_RUN_THEN_CHECK, *[a.format(mcx=src) for a in argv])
     assert r.returncode == 0, r.stderr
     assert r.stdout
+    loaded = r.stderr.rstrip().splitlines()[-1]
+    assert loaded == ("loaded: qsynth.su2" if "mcmt-x" in argv
+                      else "loaded:")
+
+
+def test_traced_modules_are_registered_on_cli_import():
+    # a tracer rebinds the functions that perfbench/layers.py names, in the
+    # modules it finds in sys.modules right after `import qsynth.cli`
+    r = fresh("""
+import sys
+sys.path.insert(0, sys.argv[1])
+import qsynth.cli
+from layers import TRACED
+for name in TRACED:
+    mod, fn = name.split(".")
+    assert callable(getattr(sys.modules["qsynth." + mod], fn)), name
+""", str(ROOT / "perfbench"))
+    assert r.returncode == 0, r.stderr
+
+
+def test_star_import_gives_every_public_name():
+    names = {}
+    exec("from qsynth import *", names)
+    assert set(qsynth.__all__) <= set(names)
+    for name in qsynth.__all__:
+        assert names[name] is getattr(qsynth, name)
+    with pytest.raises(AttributeError):
+        qsynth.no_such_name
 
 
 @pytest.mark.parametrize("argv", [

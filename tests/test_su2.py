@@ -3,9 +3,8 @@ import pytest
 
 from qsynth.ir import cnot_count, depth, lower
 from qsynth.sim import equiv, rx_mat, rz_mat, unitary_of
-from qsynth.su2 import (McmtSpec, baseline_counts, conjugation_frame,
-                        conjugation_residual, find_conjugating_gate,
-                        mcmt_su2, mcmt_x)
+from qsynth.su2 import (McmtSpec, conjugation_frame, conjugation_residual,
+                        find_conjugating_gate, mcmt_su2, mcmt_x)
 
 from conftest import X, ctrl_u, mcmt_oracle, random_su2
 
@@ -155,15 +154,3 @@ def test_mcmt_su2_counts_within_bound():
     # direct small-n forms
     assert cnot_count(mcmt_su2(McmtSpec(1, 4, (W,) * 4))) == 8
     assert cnot_count(mcmt_su2(McmtSpec(2, 4, (W,) * 4))) <= 8 * 4
-
-
-def test_baseline_counts_table():
-    assert baseline_counts("silva_linear_su2", 10, 2) == (144, 284)
-    assert baseline_counts("khattar_clean", 10) == (68, None)
-    assert baseline_counts("khattar_dirty", 10) == (128, None)
-    a, d = baseline_counts("fit_ours", 16)
-    assert a is None and abs(d - (25.5903 * 4 - 12.1237)) < 1e-9
-    a, d = baseline_counts("fit_khattar", 16)
-    assert a is None and abs(d - (29.3675 * 4 - 28.2752)) < 1e-9
-    with pytest.raises(ValueError):
-        baseline_counts("linear", 4)
