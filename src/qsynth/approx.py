@@ -14,8 +14,8 @@ import math
 from collections import namedtuple
 
 from ._np import np
-from .ir import Circuit, Gate, check_unitary, inverse, remap, rx_mat
-from .su2 import McmtSpec, mcmt_su2
+from .ir import Circuit, Gate, check_unitary, inverse_gates, rx_mat
+from .su2 import _mcmt_su2_gates
 
 
 class ApproxParams(namedtuple("ApproxParams", "epsilon theta alpha n_b n_e")):
@@ -142,18 +142,9 @@ def approx_mcu(n, U, epsilon, n_b=None):
     # the middle columns are the only places the distinguished control
     # base[0] appears; conditioning them on the extra controls as well
     # promotes the sigma-control ladder to n controls at linear extra cost
-    def central_block():
-        ws = tuple(rx_mat(math.pi / (1 << k)) for k in range(sigma - 1))
-        blk = mcmt_su2(McmtSpec(len(extras) + 1, sigma - 1, ws))
-        mapping = {0: base[0]}
-        for i, e in enumerate(extras):
-            mapping[1 + i] = e
-        for j in range(sigma - 1):
-            mapping[len(extras) + 1 + j] = base[1 + j]
-        return remap(blk, mapping, n + 1)
-
-    block1 = central_block()
-    block2 = inverse(block1)
+    ws = [rx_mat(math.pi / (1 << k)) for k in range(sigma - 1)]
+    block1 = _mcmt_su2_gates([base[0], *extras], base[1:], ws)
+    block2 = inverse_gates(block1)
 
     gates = []
 
@@ -161,7 +152,7 @@ def approx_mcu(n, U, epsilon, n_b=None):
         # outer-level middle column (inv False): the promoted rotations,
         # with the deepest root on the target dropped (the truncation);
         # inner level (inv True): their exact inverse
-        gates.extend(block2.gates if inv else block1.gates)
+        gates.extend(block2 if inv else block1)
 
     _ladder(gates, U, base, targ, True, mid_hook=mid_hook)
     return Circuit._checked(n + 1, gates), params

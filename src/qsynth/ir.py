@@ -255,14 +255,14 @@ class DecompReport(namedtuple("DecompReport", "cnot_count total_gates "
         return self
 
 
-def remap(circuit: Circuit, mapping, num_qubits, ancilla_roles=None) -> Circuit:
+def remap(circuit: Circuit, mapping, num_qubits) -> Circuit:
     """Embed a circuit into a larger register via a qubit-index map.
 
     ValueError unless ``mapping`` sends the qubits the gates use to
     distinct integers in ``[0, num_qubits)``.  That one check keeps every
     moved gate valid, so the gates are not checked again.
     """
-    num_qubits, ancilla_roles = _register(num_qubits, ancilla_roles)
+    num_qubits = _register(num_qubits, None)[0]
     try:
         image = {q: operator.index(mapping[q])
                  for g in circuit.gates for q in g.qubits}
@@ -277,7 +277,7 @@ def remap(circuit: Circuit, mapping, num_qubits, ancilla_roles=None) -> Circuit:
         raise ValueError("qubit mapping sends two used qubits to one")
     gates = [Gate._checked(g.kind, tuple(map(image.__getitem__, g.qubits)),
                            g.angle, g.matrix) for g in circuit.gates]
-    return Circuit._checked(num_qubits, gates, ancilla_roles)
+    return Circuit._checked(num_qubits, gates)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Multi-controlled X with one clean or one dirty ancilla.
 
-Register layout (fixed): controls ``[0..n)``, target ``n``, ancilla ``n+1``.
+``mcx_log`` lays its register out fixed: controls ``[0..n)``, target ``n``,
+ancilla ``n+1``.  The builders below it (``_mcx_gates`` and the schedule)
+take the wires they act on, so a larger construction writes the gates
+straight onto its own register.
 
 The construction stores pairwise ANDs of controls into already-freed control
 wires using relative-phase Toffolis, keeping the lowered CX count at
@@ -46,8 +49,9 @@ class McxSpec(namedtuple("McxSpec", "n ancilla_mode", defaults=("clean",))):
 # ---------------------------------------------------------------------------
 # wave scheduler
 #
-# qubits: c0=0, c1=1, raw controls 2..n-1, target n, ancilla n+1
-# value id 0 = the AND stored on the ancilla; stores are numbered from 1
+# wires: anchors c0 = controls[0] and c1 = controls[1], raw controls
+# controls[2:]; value id 0 = the AND stored on the ancilla, stores are
+# numbered from 1
 
 # Largest n whose strict pass at the K chosen by _schedule is
 # certificate-valid; above it the best-effort pass is kept, byte for byte,
@@ -55,11 +59,12 @@ class McxSpec(namedtuple("McxSpec", "n ancilla_mode", defaults=("clean",))):
 STRICT_MAX_N = 29
 
 
-def _attempt(n, K, strict=True):
-    """One deterministic scheduling pass.  Returns (gates, f, valid).
+def _attempt(controls, K, strict=True):
+    """One deterministic scheduling pass on the wires ``controls``.
+    Returns (gates, f, valid).
 
     ``gates`` is the X/RCCX list computing the conjunction tree, ``f`` the
-    wire holding the AND of controls 2..n-1 afterwards.  The pass first
+    wire holding the AND of ``controls[2:]`` afterwards.  The pass first
     builds a boot chain of ``K`` links from the first anchor, then merges
     the remaining raw controls in waves, then folds the chain top-down
     onto the second anchor.  A wave only hosts on slots freed in earlier
@@ -79,7 +84,7 @@ def _attempt(n, K, strict=True):
     the least-conflicting host and keeps going, which preserves the gate
     count but may leave the schedule invalid (``valid`` False).
     """
-    raws = list(range(2, n))
+    raws = list(controls[2:])
     m = len(raws)
     gates = []
     nid = [1]
@@ -111,7 +116,7 @@ def _attempt(n, K, strict=True):
     if m - 2 * K == 1:
         K = max(1, K - 1)
     chain = []
-    slot = [0, {0}, 0]
+    slot = [controls[0], {0}, 0]
     k = 0
     for _ in range(K):
         rnd[0] += 1
@@ -189,29 +194,46 @@ def _attempt(n, K, strict=True):
         f = store(f, z, slot)
     if chain:
         rnd[0] += 1
-        f = store(f, chain.pop(), [1, {0}, 0])
+        f = store(f, chain.pop(), [controls[1], {0}, 0])
 
     return gates, f[1], valid[0]
 
 
 @lru_cache(maxsize=None)
-def _schedule(n):
-    """The schedule for n >= 4: (gates, f_wire, valid).
+def _schedule(controls):
+    """The schedule on the control wires ``controls``, a tuple of n >= 4:
+    (gates, f_wire, valid).
 
     Up to ``STRICT_MAX_N`` this is one strict pass, and an invalid result
     raises.  Above it, one best-effort pass whose ``valid`` is False.
     """
+    n = len(controls)
     b = (n - 2).bit_length()
     strict = n <= STRICT_MAX_N
     K = max(b, n // 2 - 3) if strict else b + 1
-    gates, f, valid = _attempt(n, K, strict)
+    gates, f, valid = _attempt(controls, K, strict)
     if strict and not valid:
         raise RuntimeError("no certificate-valid mcx schedule for n=%d" % n)
     return tuple(gates), f, valid
 
 
-def _roles(n, mode):
-    return ("none",) * (n + 1) + (mode,)
+def _mcx_gates(controls, t, anc, mode):
+    """Gates of C^nX from the wires ``controls`` onto ``t``, borrowing the
+    clean or dirty ancilla ``anc``; n <= 2 leaves the ancilla alone."""
+    controls = tuple(controls)
+    n = len(controls)
+    if n == 1:
+        return [Gate("CX", (controls[0], t))]
+    if n == 2:
+        return [Gate("CCX", (controls[0], controls[1], t))]
+
+    w = Gate("RCCX", (controls[0], controls[1], anc))
+    stores, f = ((), controls[2]) if n == 3 else _schedule(controls)[:2]
+
+    # M flips the target iff ancilla AND all raw controls fire; the store
+    # mirror is its own adjoint gate-for-gate (X and RCCX are involutions)
+    half = [*stores, Gate("CCX", (anc, f, t)), *stores[::-1]]
+    return [w, *half, w] if mode == "clean" else [w, *half, w, *half]
 
 
 def mcx_log(spec: McxSpec) -> Circuit:
@@ -224,18 +246,5 @@ def mcx_log(spec: McxSpec) -> Circuit:
     is never touched and the exact CX / Toffoli is emitted directly.
     """
     n, mode = spec.n, spec.ancilla_mode
-    t, anc = n, n + 1
-    roles = _roles(n, mode)
-    if n == 1:
-        return Circuit._checked(n + 2, [Gate("CX", (0, t))], roles)
-    if n == 2:
-        return Circuit._checked(n + 2, [Gate("CCX", (0, 1, t))], roles)
-
-    w = Gate("RCCX", (0, 1, anc))
-    stores, f = ((), 2) if n == 3 else _schedule(n)[:2]
-
-    # M flips the target iff ancilla AND all raw controls fire; the store
-    # mirror is its own adjoint gate-for-gate (X and RCCX are involutions)
-    half = [*stores, Gate("CCX", (anc, f, t)), *stores[::-1]]
-    gates = [w, *half, w] if mode == "clean" else [w, *half, w, *half]
-    return Circuit._checked(n + 2, gates, roles)
+    gates = _mcx_gates(range(n), n, n + 1, mode)
+    return Circuit._checked(n + 2, gates, ("none",) * (n + 1) + (mode,))

@@ -14,9 +14,8 @@ import math
 from collections import namedtuple
 
 from ._np import np
-from .ir import (Circuit, Gate, check_unitary, fixed_matrix, inverse_gates,
-                 remap)
-from .mcx import McxSpec, mcx_log
+from .ir import Circuit, Gate, check_unitary, fixed_matrix, inverse_gates
+from .mcx import _mcx_gates
 
 _SU2_TOL = 1e-10
 
@@ -140,6 +139,19 @@ def _fanout_tree(targets):
     return gates
 
 
+def _mcmt_x_gates(controls, targets, anc):
+    """Gates of C^n(X^{x m}) from ``controls`` onto ``targets``, borrowing
+    the clean ancilla ``anc``: the doubling tree around one central mcx."""
+    if len(controls) == 1:
+        return [Gate("CX", (controls[0], t)) for t in targets]
+    # conjugating the central X by the doubling tree copies it onto every
+    # target; the reversed tree must come first so chained copies
+    # propagate outward through the later-applied gates
+    tree = _fanout_tree(targets)
+    return [*tree[::-1], *_mcx_gates(controls, targets[0], anc, "clean"),
+            *tree]
+
+
 def mcmt_x(n, m) -> Circuit:
     """C^n(X^{x m}) on n+m+1 qubits with one clean ancilla.
 
@@ -150,24 +162,8 @@ def mcmt_x(n, m) -> Circuit:
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 controls and m >= 1 targets")
-    nq = n + m + 1
-    roles = ("none",) * (n + m) + ("clean",)
-    targets = list(range(n, n + m))
-    if n == 1:
-        gates = [Gate("CX", (0, t)) for t in targets]
-        return Circuit._checked(nq, gates, roles)
-    # central mcx writes onto the first target; remap its register
-    # (controls [0..n), target n, ancilla n+1) into ours
-    core = mcx_log(McxSpec(n, "clean"))
-    mapping = {q: q for q in range(n + 1)}
-    mapping[n + 1] = n + m
-    core = remap(core, mapping, nq, roles)
-    # conjugating the central X by the doubling tree copies it onto every
-    # target; the reversed tree must come first so chained copies
-    # propagate outward through the later-applied gates
-    tree = _fanout_tree(targets)
-    gates = tree[::-1] + list(core.gates) + tree
-    return Circuit._checked(nq, gates, roles)
+    gates = _mcmt_x_gates(range(n), range(n, n + m), n + m)
+    return Circuit._checked(n + m + 1, gates, ("none",) * (n + m) + ("clean",))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +196,7 @@ def mcmt_su2(spec: McmtSpec) -> Circuit:
     target carries single-qubit dressings so that when every control
     fires the target sees F (X A X A^dag)^2 F^dag = W, and in every
     other control branch the layers cancel to the identity exactly.
-    Lowered CX count: 12n + 6m - 28 (within the 12n + 8m - 30 budget).
+    Lowered CX count: exactly 12n + 6m - 28.
     """
     n, m = spec.n, spec.m
     if n == 1:
@@ -209,20 +205,20 @@ def mcmt_su2(spec: McmtSpec) -> Circuit:
         return Circuit._checked(1 + m, gates)
     if n == 2:
         return _mcmt_su2_two_controls(spec)
-    nq = n + m
-    k2 = n - 1
-    targets = list(range(n, n + m))
-    pairs = [conjugation_frame(W) for W in spec.gates]
+    gates = _mcmt_su2_gates(range(n), range(n, n + m), spec.gates)
+    return Circuit._checked(n + m, gates)
+
+
+def _mcmt_su2_gates(controls, targets, ws):
+    """Gates of C^n(W_1 x ... x W_m) from ``controls`` (n >= 3) onto
+    ``targets``, with ``controls[-1]`` as the inner gates' ancilla."""
+    k2 = controls[-1]
+    pairs = [conjugation_frame(W) for W in ws]
 
     # inner gate: (n-1)-controlled X^{x m} borrowing k2 as its ancilla,
     # X-conjugated because a firing k2 is |1>
-    inner = mcmt_x(n - 1, m)
-    mapping = {q: q for q in range(n - 1)}
-    for i, t in enumerate(targets):
-        mapping[n - 1 + i] = t
-    mapping[n - 1 + m] = k2
-    inner = remap(inner, mapping, nq)
-    g_fwd = [Gate("X", (k2,))] + list(inner.gates) + [Gate("X", (k2,))]
+    g_fwd = [Gate("X", (k2,)), *_mcmt_x_gates(controls[:-1], targets, k2),
+             Gate("X", (k2,))]
     g_bwd = inverse_gates(g_fwd)
 
     k2_fan = [Gate("CX", (k2, t)) for t in targets]
@@ -240,7 +236,7 @@ def mcmt_su2(spec: McmtSpec) -> Circuit:
     gates += [_u2(t, A) for t, (A, F) in zip(targets, pairs)]
     gates += k2_fan
     gates += [_u2(t, F) for t, (A, F) in zip(targets, pairs)]
-    return Circuit._checked(nq, gates)
+    return gates
 
 
 def _mcmt_su2_two_controls(spec: McmtSpec) -> Circuit:

@@ -41,17 +41,16 @@ class Spec(namedtuple("Spec", "target n ws ancilla epsilon n_b",
     __slots__ = ()
 
 
-# target -> (exact?, CX count of (n, m, ancilla, n_b)).  An exact count must
-# match, otherwise it is an upper bound; n <= 2 circuits are direct gates.
+# target -> exact CX count of (n, m, ancilla, n_b); n <= 2 circuits are
+# direct gates.
 CNOT_TABLE = {
-    "mcx": (True, lambda n, m, anc, n_b: {1: 1, 2: 6}.get(
-        n, 6 * n - 6 if anc == "clean" else 12 * n - 18)),
-    "mcmt-x": (True, lambda n, m, anc, n_b: {1: m, 2: 2 * m + 4}.get(
-        n, 6 * n + 2 * m - 8)),
-    "mcmt-su2": (False, lambda n, m, anc, n_b: {1: 2 * m, 2: 8 * m}.get(
-        n, 12 * n + 8 * m - 30)),
-    "approx-u": (True, lambda n, m, anc, n_b:
-                 4 * n_b ** 2 + 24 * n - 12 * n_b - 56),
+    "mcx": lambda n, m, anc, n_b: {1: 1, 2: 6}.get(
+        n, 6 * n - 6 if anc == "clean" else 12 * n - 18),
+    "mcmt-x": lambda n, m, anc, n_b: {1: m, 2: 2 * m + 4}.get(
+        n, 6 * n + 2 * m - 8),
+    "mcmt-su2": lambda n, m, anc, n_b: {1: 2 * m, 2: 8 * m}.get(
+        n, 12 * n + 6 * m - 28),
+    "approx-u": lambda n, m, anc, n_b: 4 * n_b ** 2 + 24 * n - 12 * n_b - 56,
 }
 
 
@@ -292,14 +291,12 @@ def _sparse(c, spec):
 
 def verify_circuit(c, spec) -> Verdict:
     """CX count plus the check of the tier the register size selects."""
-    exact, formula = CNOT_TABLE[spec.target]
-    want = formula(spec.n, len(spec.ws), spec.ancilla, spec.n_b)
+    want = CNOT_TABLE[spec.target](spec.n, len(spec.ws), spec.ancilla,
+                                   spec.n_b)
     got = cnot_count(c)
     fails = []
-    if exact and got != want:
+    if got != want:
         fails.append("cnot count %d != %d" % (got, want))
-    elif not exact and got > want:
-        fails.append("cnot count %d > bound %d" % (got, want))
     note = ""
     if c.num_qubits <= UNITARY_CAP - 2:
         tier, inputs, more = "dense", 1 << c.num_qubits, _dense(c, spec)

@@ -42,18 +42,24 @@ def test_mcmt_count_formulas_n_3_to_256():
     W = np.diag([np.exp(-0.2j), np.exp(0.2j)])
     for n in range(3, 257):
         for m in M_GRID:
-            assert cnot_count(mcmt_x(n, m)) <= 6 * n + 2 * m - 8, (n, m)
+            got = cnot_count(mcmt_x(n, m))
+            assert got <= 6 * n + 2 * m - 8, (n, m)
+            assert got == 6 * n + 2 * m - 8, (n, m)
             got = cnot_count(mcmt_su2(McmtSpec(n, m, (W,) * m)))
             assert got <= 12 * n + 8 * m - 30, (n, m)
+            assert got == 12 * n + 6 * m - 28, (n, m)
 
 
 def test_mcmt_counts_dense_m_sweep():
     W = np.diag([np.exp(0.45j), np.exp(-0.45j)])
     for n in (3, 17, 256):
         for m in range(1, 65):
-            assert cnot_count(mcmt_x(n, m)) <= 6 * n + 2 * m - 8, (n, m)
+            got = cnot_count(mcmt_x(n, m))
+            assert got <= 6 * n + 2 * m - 8, (n, m)
+            assert got == 6 * n + 2 * m - 8, (n, m)
             got = cnot_count(mcmt_su2(McmtSpec(n, m, (W,) * m)))
             assert got <= 12 * n + 8 * m - 30, (n, m)
+            assert got == 12 * n + 6 * m - 28, (n, m)
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def test_schedules_certificate_valid_in_strict_range():
     # known to be wrong on near-firing inputs (verify reports FAIL); the
     # random inputs of test_large_n_phase_tracking almost never reach them
     for n in range(4, STRICT_MAX_N + 1):
-        _stores, _f, valid = _schedule(n)
+        _stores, _f, valid = _schedule(tuple(range(n)))
         assert valid, n
 
 

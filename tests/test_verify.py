@@ -81,6 +81,18 @@ def test_spot_tier_names_the_first_failing_input():
     assert v.fails[-1].endswith("(input 1)")
 
 
+def test_mcmt_su2_count_is_exact():
+    # a CX pair leaves the unitary alone but adds 2 CX, which stay inside
+    # the old 12n + 8m - 30 budget for m >= 2; the exact count catches it
+    c, spec = bench.build("mcmt-su2", 4, 3, gate=random_su2(
+        np.random.default_rng(5)))
+    bad = Circuit(c.num_qubits, c.gates + (Gate("CX", (0, 4)),) * 2)
+    assert verify_circuit(c, spec()).fails == ()
+    v = verify_circuit(bad, spec())
+    assert v.fails == ("cnot count %d != %d" % (12 * 4 + 6 * 3 - 26,
+                                                 12 * 4 + 6 * 3 - 28),)
+
+
 @pytest.mark.parametrize("argv, tier", [
     ("mcx --controls 4 --ancilla dirty", "dense"),
     ("mcmt-x --controls 9 --targets 2", "spot"),
