@@ -5,19 +5,20 @@ the code runs when something first reads one of its attributes.  qsynth
 uses it for numpy and for its own matrix modules ``su2``, ``approx`` and
 ``sim``, which ``qsynth/__init__`` registers this way.
 
-The synthesizers for mcx and mcmt-x, matrix-free export and count-only
-bench are pure CX/Toffoli work and never build a matrix, so a request that
-only does those runs neither numpy's import nor the matrix modules.  Three
-rules keep it that way:
+Gate matrices are nested tuples ``((a, b), (c, d))`` of Python complex
+numbers, multiplied by the 2x2 helpers in ``ir``, so synthesis, export and
+count-only bench of every family never load numpy: only ``sim`` and
+``verify`` do, and ``sim.gate_matrix`` turns each tuple into an array once.
+Three rules keep it that way:
 
-- qsynth modules take numpy as ``from ._np import np`` and never write
+- ``sim`` and ``verify`` take numpy as ``from ._np import np``, never
   ``import numpy``: on Python 3.11 an ``import`` statement reads the
-  module's ``__spec__``, and that access runs the whole load at once;
+  module's ``__spec__``, and that access runs the whole load at once; no
+  other qsynth module uses numpy;
 - for the same reason ``cli``, ``bench``, ``ir`` and ``mcx`` have no
   top-level import of ``su2``, ``approx`` or ``sim``: they import them
   inside the function branch that needs them;
-- no qsynth module builds an array at import time; constants that hold
-  matrices are cached functions instead (``ir.fixed_matrix``).
+- no qsynth module builds an array at import time.
 
 A module that is already loaded is used as it is.  Otherwise the lazy module
 is put in ``sys.modules``, so relative imports and any later ``import``

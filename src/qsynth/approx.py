@@ -6,6 +6,8 @@ base size from the error budget (``n_b`` base controls via
 :func:`nb_from_epsilon`), drops the single deepest root gate, and absorbs
 every remaining extra control into two inverse-paired multi-controlled
 multi-target SU(2) blocks, so each additional control costs exactly 24 CX.
+Its matrices are ``ir`` tuples of Python complex numbers: nothing here
+loads numpy.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ import cmath
 import math
 from collections import namedtuple
 
-from ._np import np
-from .ir import Circuit, Gate, check_unitary, inverse_gates, rx_mat
+from .ir import (IDENTITY, Circuit, Gate, check_unitary, det, inverse_gates,
+                 rx_mat, scale)
 from .su2 import _mcmt_su2_gates
 
 
@@ -28,7 +30,7 @@ class ApproxParams(namedtuple("ApproxParams", "epsilon theta alpha n_b n_e")):
             raise ValueError("bad base/extra split")
         if not 0 < self.epsilon < 2:
             raise ValueError("epsilon must lie in (0, 2)")
-        if not 0 <= self.theta < 2 * math.pi:
+        if not 0 <= self.theta <= 2 * math.pi:
             raise ValueError("theta out of range")
         return self
 
@@ -37,13 +39,13 @@ def su2_angle(U):
     """Split a 2x2 unitary into (theta, alpha).
 
     alpha = arg(det U)/2 is the global phase; V = e^{-i alpha} U is in
-    SU(2) with eigenvalues e^{-+ i theta/2}, theta in [0, 2 pi).
+    SU(2) with eigenvalues e^{-+ i theta/2}, theta in [0, 2 pi]; theta is
+    2 pi when V is -I.
     """
     U = check_unitary(U, 1e-10)
-    det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
-    alpha = cmath.phase(det) / 2.0
-    V = U * cmath.exp(-1j * alpha)
-    c = max(-1.0, min(1.0, ((V[0, 0] + V[1, 1]) / 2.0).real))
+    alpha = cmath.phase(det(U)) / 2.0
+    (v00, _), (_, v11) = scale(U, cmath.exp(-1j * alpha))
+    c = max(-1.0, min(1.0, ((v00 + v11) / 2.0).real))
     theta = 2.0 * math.acos(c)
     return theta, alpha
 
@@ -63,9 +65,19 @@ def nb_from_epsilon(theta, epsilon):
 
 
 def _mat_power(U, p):
-    """Principal U^p (p may be negative or fractional)."""
-    w, V = np.linalg.eig(np.asarray(U, dtype=complex))
-    return V @ np.diag(w.astype(complex) ** p) @ np.linalg.inv(V)
+    """Principal U^p of a 2x2 unitary (p may be negative or fractional) by
+    Sylvester's formula on the principal powers of its eigenvalues l1, l2:
+    l2^p I + (l1^p - l2^p) / (l1 - l2) (U - l2 I), or l^p I if they are equal.
+    """
+    (a, b), (c, d) = U
+    mean = (a + d) * 0.5
+    # l1, l2 = mean +- half; this form keeps their tiny imaginary parts
+    half = cmath.sqrt(((a - d) * 0.5) ** 2 + b * c)
+    if half == 0:
+        return scale(IDENTITY, mean ** p)
+    l1, l2 = mean + half, mean - half
+    k = (l1 ** p - l2 ** p) / (2 * half)
+    return ((l2 ** p + k * (a - l2), k * b), (k * c, l2 ** p + k * (d - l2)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +133,7 @@ def approx_mcu(n, U, epsilon, n_b=None):
     enough controls.  ``n_b`` may be overridden upward to trade gates for
     accuracy.
     """
-    U = np.asarray(U, dtype=complex)
+    U = check_unitary(U, 1e-10)
     theta, alpha = su2_angle(U)
     auto_nb = nb_from_epsilon(theta, epsilon)
     if n_b is None:

@@ -10,8 +10,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from ._np import np
-from .ir import cnot_count, depth, fixed_matrix, rz_mat
+from .ir import cnot_count, depth, fixed_matrix, rz_mat, scale
 from .mcx import McxSpec, mcx_log
 
 # bench family -> (synthesis target, ancilla kind)
@@ -63,7 +62,7 @@ def build(target, n, m=1, ancilla="clean", gate=None, epsilon=0.1,
         from .approx import su2_angle
         from .su2 import McmtSpec, mcmt_su2
         # multi-target SU(2) synthesis works up to the global phase
-        ws = (gate * cmath.exp(-1j * su2_angle(gate)[1]),) * m
+        ws = (scale(gate, cmath.exp(-1j * su2_angle(gate)[1])),) * m
         c = mcmt_su2(McmtSpec(n, m, ws))
         return c, lambda: _spec("mcmt-su2", n, ws)
     if target == "approx-u":
@@ -176,14 +175,15 @@ def fit_log(rows):
            for r in rows]
     if len(pts) < 3:
         raise ValueError("need at least 3 rows")
-    ns = np.array([p[0] for p in pts], dtype=float)
-    ds = np.array([p[1] for p in pts], dtype=float)
-    if np.unique(ns).size < 2:
+    if len({float(n) for n, _ in pts}) < 2:
         raise ValueError("degenerate input: all n equal")
-    x = np.log2(ns)
-    a, b = np.polyfit(x, ds, 1)
-    pred = a * x + b
-    ss_res = float(np.sum((ds - pred) ** 2))
-    ss_tot = float(np.sum((ds - ds.mean()) ** 2))
+    xs = [math.log2(n) for n, _ in pts]
+    ds = [float(d) for _, d in pts]
+    mx, md = sum(xs) / len(xs), sum(ds) / len(ds)
+    sxx = sum((x - mx) ** 2 for x in xs)
+    a = sum((x - mx) * (d - md) for x, d in zip(xs, ds)) / sxx
+    b = md - a * mx
+    ss_res = sum((d - a * x - b) ** 2 for x, d in zip(xs, ds))
+    ss_tot = sum((d - md) ** 2 for d in ds)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(a), float(b), r2
+    return a, b, r2

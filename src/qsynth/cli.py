@@ -12,7 +12,6 @@ import operator
 import re
 import sys
 
-from ._np import np
 from .bench import (COUNT_ONLY_MAX_N, FAMILIES, FAMILY_TARGET, TARGETS,
                     build, run_family, to_csv)
 from .ir import (check_unitary, export_text, fixed_matrix, parse_json,
@@ -26,13 +25,9 @@ class UsageError(argparse.ArgumentTypeError):
 # ---------------------------------------------------------------------------
 # gate-argument parsing
 
-_NAMED = {
-    "x": lambda: fixed_matrix("X"),
-    "z": lambda: np.diag([1, -1]).astype(complex),
-    "s": lambda: np.diag([1, 1j]).astype(complex),
-    "t": lambda: fixed_matrix("T"),
-    "h": lambda: fixed_matrix("H"),
-}
+_NAMED = {"x": fixed_matrix("X"), "t": fixed_matrix("T"),
+          "h": fixed_matrix("H"), "z": ((1 + 0j, 0j), (0j, -1 + 0j)),
+          "s": ((1 + 0j, 0j), (0j, 1j))}
 _ROT = {"rx": rx_mat, "ry": ry_mat, "rz": rz_mat}
 # syntax-tree operator class name -> its function
 _ARITH = {"Add": operator.add, "Sub": operator.sub, "Mult": operator.mul,
@@ -67,18 +62,22 @@ def parse_angle(expr):
     return a
 
 
+def _entry(x, pair):
+    re, im = x if pair else (x, 0)
+    return complex(float(re), float(im))
+
+
 def _matrix_from_json(data):
-    a = np.asarray(data, dtype=float)
-    if a.shape == (4, 2):           # row-major [re, im] pairs
-        M = (a[:, 0] + 1j * a[:, 1]).reshape(2, 2)
-    elif a.shape == (2, 2, 2):      # nested rows of [re, im] pairs
-        M = a[..., 0] + 1j * a[..., 1]
-    elif a.shape == (2, 2):         # plain real matrix
-        M = a.astype(complex)
-    else:
-        raise UsageError("gate matrix must be 2x2")
+    """Four row-major [re, im] pairs, two rows of [re, im] pairs, or two
+    rows of reals."""
     try:
-        return check_unitary(M, 1e-10)
+        pair = len(data) == 4 or isinstance(data[0][0], list)
+        rows = (data[:2], data[2:]) if len(data) == 4 else data
+        (a, b), (c, d) = [[_entry(x, pair) for x in row] for row in rows]
+    except (TypeError, ValueError, KeyError, IndexError):
+        raise UsageError("gate matrix must be 2x2") from None
+    try:
+        return check_unitary(((a, b), (c, d)), 1e-10)
     except ValueError:
         raise UsageError("gate matrix is not unitary") from None
 
@@ -106,7 +105,7 @@ def parse_gate_spec(text):
     s = (text or "").strip()
     low = s.lower()
     if low in _NAMED:
-        return _NAMED[low]().copy()
+        return _NAMED[low]
     m = re.fullmatch(r"(rx|ry|rz)\((.*)\)", low)
     if m:
         return _ROT[m.group(1)](parse_angle(m.group(2)))

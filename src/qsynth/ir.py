@@ -18,8 +18,6 @@ import operator
 from collections import namedtuple
 from functools import lru_cache
 
-from ._np import np
-
 # arity per gate kind; operands are (controls..., target)
 ARITY = {
     "X": 1, "H": 1, "T": 1, "Tdg": 1,
@@ -35,50 +33,82 @@ LOWERED_KINDS = FIXED_KINDS | {"Rx", "Ry", "Rz", "U2", "CX"}
 _UNITARITY_TOL = 1e-12
 
 
+# ---------------------------------------------------------------------------
+# 2x2 gate algebra on matrix tuples ((a, b), (c, d)) of Python complex
+# numbers; the helpers read their arguments row by row, so lists and numpy
+# arrays work too.
+
+IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
+
+
+def mul(p, q, *more):
+    """The matrix product p q ..., multiplied from the left."""
+    (a, b), (c, d) = p
+    (e, f), (g, h) = q
+    m = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+    return mul(m, *more) if more else m
+
+
+def adjoint(m):
+    """The conjugate transpose of m."""
+    (a, b), (c, d) = m
+    return ((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate()))
+
+
+def scale(m, z):
+    """Every entry of m times the number z."""
+    return tuple(tuple(x * z for x in row) for row in m)
+
+
+def det(m):
+    (a, b), (c, d) = m
+    return a * d - b * c
+
+
+def dist(p, q):
+    """The largest entry of |p - q|."""
+    return max(abs(x - y) for r, s in zip(p, q) for x, y in zip(r, s))
+
+
 @lru_cache(maxsize=None)
 def fixed_matrix(kind):
-    """Read-only matrix of a fixed single-qubit kind (X, H, T, Tdg): the one
+    """Matrix of a fixed single-qubit kind (X, H, T, Tdg): the one
     definition the simulator, the synthesizers and the CLI share."""
-    if kind == "X":
-        m = np.array([[0, 1], [1, 0]], dtype=complex)
-    elif kind == "H":
-        m = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    elif kind == "T":
-        m = np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]],
-                     dtype=complex)
-    elif kind == "Tdg":
-        m = np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]],
-                     dtype=complex)
-    else:
+    h = 1 / math.sqrt(2)
+    m = {"X": ((0j, 1 + 0j), (1 + 0j, 0j)),
+         "H": ((h + 0j, h + 0j), (h + 0j, -h + 0j)),
+         "T": ((1 + 0j, 0j), (0j, cmath.exp(1j * math.pi / 4))),
+         "Tdg": ((1 + 0j, 0j), (0j, cmath.exp(-1j * math.pi / 4)))}.get(kind)
+    if m is None:
         raise ValueError("no fixed matrix for kind %r" % (kind,))
-    m.setflags(write=False)
     return m
 
 
 def rx_mat(a):
-    c, s = math.cos(a / 2), math.sin(a / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    c, s = complex(math.cos(a / 2)), -1j * math.sin(a / 2)
+    return ((c, s), (s, c))
 
 
 def ry_mat(a):
     c, s = math.cos(a / 2), math.sin(a / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return ((complex(c), complex(-s)), (complex(s), complex(c)))
 
 
 def rz_mat(a):
-    return np.array([[cmath.exp(-0.5j * a), 0], [0, cmath.exp(0.5j * a)]],
-                    dtype=complex)
+    return ((cmath.exp(-0.5j * a), 0j), (0j, cmath.exp(0.5j * a)))
 
 
-def check_unitary(m, tol=_UNITARITY_TOL) -> np.ndarray:
-    """``m`` as a complex 2x2 array; ValueError unless its entries are
+def check_unitary(m, tol=_UNITARITY_TOL):
+    """``m`` as a 2x2 matrix tuple; ValueError unless its entries are
     finite and no entry of m^dag m - I exceeds ``tol`` in magnitude."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError("gate matrix must be 2x2, got %r" % (m.shape,))
-    # finiteness first: an inf entry would make the product warn
-    dev = (np.abs(m.conj().T @ m - np.eye(2)).max()
-           if all(map(cmath.isfinite, m.ravel().tolist())) else math.nan)
+    try:
+        (a, b), (c, d) = m
+        m = ((complex(a), complex(b)), (complex(c), complex(d)))
+    except (TypeError, ValueError):
+        raise ValueError("gate matrix must be 2x2") from None
+    # finiteness first: an inf entry makes the product meaningless
+    dev = (dist(mul(adjoint(m), m), IDENTITY)
+           if all(map(cmath.isfinite, m[0] + m[1])) else math.nan)
     if not dev <= tol:
         raise ValueError("matrix is not unitary (deviation %.3e)" % dev)
     return m
@@ -117,7 +147,6 @@ class Gate:
             if matrix is None:
                 raise ValueError("%s requires a matrix" % kind)
             matrix = check_unitary(matrix)
-            matrix.setflags(write=False)
         elif matrix is not None:
             raise ValueError("%s takes no matrix" % kind)
         object.__setattr__(self, "kind", kind)
@@ -129,7 +158,7 @@ class Gate:
     def _checked(cls, kind, qubits, angle=None, matrix=None):
         """A gate from fields that already passed ``__init__``'s checks:
         ``qubits`` a tuple of distinct non-negative ints, ``angle`` a finite
-        float, ``matrix`` a read-only unitary.  Nothing is checked again."""
+        float, ``matrix`` a unitary tuple.  Nothing is checked again."""
         g = object.__new__(cls)
         object.__setattr__(g, "kind", kind)
         object.__setattr__(g, "qubits", qubits)
@@ -151,15 +180,8 @@ class Gate:
     def __eq__(self, other):
         if not isinstance(other, Gate):
             return NotImplemented
-        if (self.kind, self.qubits, self.angle) != \
-                (other.kind, other.qubits, other.angle):
-            return False
-        if (self.matrix is None) != (other.matrix is None):
-            return False
-        if self.matrix is not None and not np.array_equal(self.matrix,
-                                                          other.matrix):
-            return False
-        return True
+        return ((self.kind, self.qubits, self.angle, self.matrix)
+                == (other.kind, other.qubits, other.angle, other.matrix))
 
     def __hash__(self):
         return hash((self.kind, self.qubits, self.angle))
@@ -315,50 +337,42 @@ def zyz_angles(U):
 
     Returns (alpha, beta, gamma, delta) in radians.
     """
-    U = np.asarray(U, dtype=complex)
-    det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
-    alpha = cmath.phase(det) / 2.0
-    V = U * cmath.exp(-1j * alpha)       # V in SU(2)
-    gamma = 2.0 * math.atan2(abs(V[1, 0]), abs(V[0, 0]))
+    alpha = cmath.phase(det(U)) / 2.0
+    (v00, _), (v10, v11) = scale(U, cmath.exp(-1j * alpha))   # in SU(2)
+    gamma = 2.0 * math.atan2(abs(v10), abs(v00))
     # V00 = e^{-i(b+d)/2} cos(g/2), V10 = e^{i(b-d)/2} sin(g/2)
-    sum_bd = 2.0 * cmath.phase(V[1, 1]) if abs(V[1, 1]) > 1e-12 else 0.0
-    diff_bd = 2.0 * cmath.phase(V[1, 0]) if abs(V[1, 0]) > 1e-12 else 0.0
+    sum_bd = 2.0 * cmath.phase(v11) if abs(v11) > 1e-12 else 0.0
+    diff_bd = 2.0 * cmath.phase(v10) if abs(v10) > 1e-12 else 0.0
     beta = (sum_bd + diff_bd) / 2.0
     delta = (sum_bd - diff_bd) / 2.0
     return alpha, beta, gamma, delta
 
 
 @lru_cache(maxsize=1024)
-def _abc(key):
+def _abc(U):
     """(C, B, A, control phase) of the ABC decomposition of the 2x2 unitary
-    whose complex bytes are ``key``; a part equal to the identity is None.
+    tuple U; a part equal to the identity is None.
 
     U = e^{i alpha} A X B X C with A B C = I; the phase lands on the
-    control as diag(1, e^{i alpha}).  Cached on the bytes, since the CU2
-    gates of a circuit share a few matrices; the parts are read-only.
+    control as diag(1, e^{i alpha}).  Cached, since the CU2 gates of a
+    circuit share a few matrices.
     """
-    alpha, beta, gamma, delta = zyz_angles(
-        np.frombuffer(key, dtype=complex).reshape(2, 2))
-    A = rz_mat(beta) @ ry_mat(gamma / 2)
-    B = ry_mat(-gamma / 2) @ rz_mat(-(delta + beta) / 2)
+    alpha, beta, gamma, delta = zyz_angles(U)
+    A = mul(rz_mat(beta), ry_mat(gamma / 2))
+    B = mul(ry_mat(-gamma / 2), rz_mat(-(delta + beta) / 2))
     C = rz_mat((delta - beta) / 2)
-    parts = [m if np.abs(m - np.eye(2)).max() > 1e-15 else None
-             for m in (C, B, A)]
-    parts.append(np.array([[1, 0], [0, cmath.exp(1j * alpha)]],
-                          dtype=complex) if abs(alpha) > 1e-15 else None)
-    for m in parts:
-        if m is not None:
-            # checked once here, so no gate lowered from it checks it again
-            check_unitary(m)
-            m.setflags(write=False)
-    return tuple(parts)
+    parts = [m if dist(m, IDENTITY) > 1e-15 else None for m in (C, B, A)]
+    parts.append(((1 + 0j, 0j), (0j, cmath.exp(1j * alpha)))
+                 if abs(alpha) > 1e-15 else None)
+    # checked once here, so no gate lowered from a part checks it again
+    return tuple(None if m is None else check_unitary(m) for m in parts)
 
 
 def _cu2_parts(c, t, U):
     """Controlled-U via the ABC decomposition as (kind, qubits, angle,
     matrix) rows: 2 CX plus the single-qubit parts that are not the
     identity."""
-    C, B, A, phase = _abc(np.asarray(U, dtype=complex).tobytes())
+    C, B, A, phase = _abc(U)
     rows = (("U2", (t,), None, C), ("CX", (c, t), None, None),
             ("U2", (t,), None, B), ("CX", (c, t), None, None),
             ("U2", (t,), None, A), ("U2", (c,), None, phase))
@@ -482,9 +496,8 @@ def inverse_gates(gates) -> list:
         elif g.kind in ANGLE_KINDS:
             out.append(Gate._checked(g.kind, g.qubits, angle=-g.angle))
         elif g.kind in MATRIX_KINDS:
-            m = g.matrix.conj().T
-            m.setflags(write=False)
-            out.append(Gate._checked(g.kind, g.qubits, matrix=m))
+            out.append(Gate._checked(g.kind, g.qubits, None,
+                                     adjoint(g.matrix)))
         else:  # pragma: no cover
             raise ValueError("no adjoint for %r" % (g.kind,))
     return out
@@ -514,8 +527,7 @@ def _gate_to_json(g: Gate) -> dict:
     if g.angle is not None:
         d["params"] = [g.angle]
     if g.matrix is not None:
-        d["matrix"] = [[float(x.real), float(x.imag)]
-                       for x in g.matrix.reshape(4)]
+        d["matrix"] = [[x.real, x.imag] for row in g.matrix for x in row]
     return d
 
 
@@ -588,7 +600,7 @@ def parse_json(text: str) -> Circuit:
             params, matrix = d.get("params"), None
             if "matrix" in d:
                 flat = [complex(re, im) for re, im in d["matrix"]]
-                matrix = np.array(flat, dtype=complex).reshape(2, 2)
+                matrix = flat[:2], flat[2:]
             gates.append(Gate(d["kind"], d["qubits"],
                               angle=params[0] if params else None,
                               matrix=matrix))

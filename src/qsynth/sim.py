@@ -18,31 +18,23 @@ from collections import namedtuple
 from functools import lru_cache
 
 from ._np import np
-from .ir import (FIXED_KINDS, Circuit, Gate, fixed_matrix, lower, rx_mat,
-                 ry_mat, rz_mat)
+from .ir import (FIXED_KINDS, MATRIX_KINDS, Circuit, Gate, fixed_matrix,
+                 lower, rx_mat, ry_mat, rz_mat)
 
 UNITARY_CAP = 13
 APPLY_CAP = 22
 FUSE_WIDTH = 5         # widest fused block; of 3 to 6, fastest on verify
+_ROTATIONS = {"Rx": rx_mat, "Ry": ry_mat, "Rz": rz_mat}
 
 
-def _controlled(U):
-    """4x4 controlled-U; index ordering (control, target), control first."""
-    m = np.eye(4, dtype=complex)
-    m[2:, 2:] = U
-    return m
-
-
-@lru_cache(maxsize=1)
-def _cx_matrix():
-    return _controlled(fixed_matrix("X"))
-
-
-@lru_cache(maxsize=1)
-def _ccx_matrix():
-    m = np.eye(8, dtype=complex)
-    m[6:, 6:] = fixed_matrix("X")
-    return m
+@lru_cache(maxsize=4096)
+def _array(m, controls=0):
+    """Read-only array of the 2x2 matrix tuple ``m`` with ``controls``
+    control wires in front, built once per matrix."""
+    a = np.eye(2 << controls, dtype=complex)
+    a[-2:, -2:] = m
+    a.setflags(write=False)
+    return a
 
 
 @lru_cache(maxsize=1)
@@ -61,21 +53,13 @@ def gate_matrix(g: Gate) -> np.ndarray:
     operand is the most significant bit of the local index.
     """
     if g.kind in FIXED_KINDS:
-        return fixed_matrix(g.kind)
-    if g.kind == "Rx":
-        return rx_mat(g.angle)
-    if g.kind == "Ry":
-        return ry_mat(g.angle)
-    if g.kind == "Rz":
-        return rz_mat(g.angle)
-    if g.kind == "U2":
-        return np.asarray(g.matrix, dtype=complex)
-    if g.kind == "CX":
-        return _cx_matrix()
-    if g.kind == "CU2":
-        return _controlled(np.asarray(g.matrix, dtype=complex))
-    if g.kind == "CCX":
-        return _ccx_matrix()
+        return _array(fixed_matrix(g.kind))
+    if g.kind in _ROTATIONS:
+        return _array(_ROTATIONS[g.kind](g.angle))
+    if g.kind in MATRIX_KINDS:
+        return _array(g.matrix, len(g.qubits) - 1)
+    if g.kind in ("CX", "CCX"):
+        return _array(fixed_matrix("X"), len(g.qubits) - 1)
     if g.kind == "RCCX":
         return rccx_matrix()
     raise ValueError("no matrix for kind %r" % (g.kind,))

@@ -5,16 +5,16 @@ fanout trees over the targets (one clean ancilla).  ``mcmt_su2`` realizes
 C^n(W_1 x ... x W_m) with no ancilla at all: the last control doubles as a
 conditionally clean ancilla for two inner multi-controlled multi-target X
 gates, and per-target single-qubit dressings turn the resulting double
-conjugation (X A X A^dag)^2 into each W_i.
+conjugation (X A X A^dag)^2 into each W_i.  Its matrices are ``ir`` tuples
+of Python complex numbers: nothing here loads numpy.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from collections import namedtuple
 
-from ._np import np
-from .ir import Circuit, Gate, check_unitary, fixed_matrix, inverse_gates
+from .ir import (IDENTITY, Circuit, Gate, adjoint, check_unitary, det, dist,
+                 fixed_matrix, inverse_gates, mul, rz_mat, scale)
 from .mcx import _mcx_gates
 
 _SU2_TOL = 1e-10
@@ -25,24 +25,19 @@ _SU2_TOL = 1e-10
 
 def _quat_of(U):
     """Quaternion (q0, qx, qy, qz) of an SU(2) matrix."""
-    U = np.asarray(U, dtype=complex)
-    q0 = (U[0, 0] + U[1, 1]).real / 2.0
-    qx = -(U[0, 1] + U[1, 0]).imag / 2.0
-    qy = (U[1, 0] - U[0, 1]).real / 2.0
-    qz = -(U[0, 0] - U[1, 1]).imag / 2.0
-    return np.array([q0, qx, qy, qz])
+    (a, b), (c, d) = U
+    return ((a + d).real / 2.0, -(b + c).imag / 2.0, (c - b).real / 2.0,
+            -(a - d).imag / 2.0)
 
 
 def _quat_to_mat(q):
     q0, qx, qy, qz = q
-    return np.array([[q0 - 1j * qz, -qy - 1j * qx],
-                     [qy - 1j * qx, q0 + 1j * qz]], dtype=complex)
+    return ((q0 - 1j * qz, -qy - 1j * qx), (qy - 1j * qx, q0 + 1j * qz))
 
 
 def _check_su2(W):
     W = check_unitary(W, _SU2_TOL)
-    det = W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0]
-    if not abs(det - 1) <= _SU2_TOL:
+    if not abs(det(W) - 1) <= _SU2_TOL:
         raise ValueError("matrix is not special (det != 1)")
     return W
 
@@ -54,22 +49,20 @@ def _principal_sqrt_su2(q):
     """
     q0 = min(1.0, max(-1.0, q[0]))
     if q0 <= -1.0 + 1e-14:
-        return np.array([0.0, 0.0, 0.0, -1.0])
+        return 0.0, 0.0, 0.0, -1.0
     t0 = math.sqrt((1.0 + q0) / 2.0)
-    vec = q[1:] / (2.0 * t0)
-    return np.concatenate(([t0], vec))
+    return (t0, *(x / (2.0 * t0) for x in q[1:]))
 
 
 def conjugation_residual(A, W):
     """Max-norm of (X A X A^dag)^2 - W, minimized over the SU(2) sign."""
-    A = np.asarray(A, dtype=complex)
     X = fixed_matrix("X")
-    T = X @ A @ X @ A.conj().T
-    P = T @ T
-    return min(float(np.abs(P - W).max()), float(np.abs(P + W).max()))
+    T = mul(X, A, X, adjoint(A))
+    P = mul(T, T)
+    return min(dist(P, W), dist(P, scale(W, -1)))
 
 
-def find_conjugating_gate(W) -> np.ndarray:
+def find_conjugating_gate(W):
     """Solve (X A X A^dag)^2 = W for A, deterministically.
 
     Works on the reachable class of SU(2) targets, which is exactly the
@@ -80,12 +73,11 @@ def find_conjugating_gate(W) -> np.ndarray:
     conjugating with an Rz frame first (see :func:`conjugation_frame`).
     """
     W = _check_su2(W)
-    q = _quat_of(W)
-    t = _principal_sqrt_su2(q)
+    t = _principal_sqrt_su2(_quat_of(W))
     # solve X A X A^dag = -t (the SU(2) sign that squares to the same W):
     # with A = (a, 0, c, d), the product is (-(2a^2-1), 0, 2ac, 2ad)
     a = math.sqrt((1.0 + t[0]) / 2.0)   # t[0] >= 0, so a >= sqrt(1/2)
-    A = _quat_to_mat(np.array([a, 0.0, -t[2] / (2 * a), -t[3] / (2 * a)]))
+    A = _quat_to_mat((a, 0.0, -t[2] / (2 * a), -t[3] / (2 * a)))
     res = conjugation_residual(A, W)
     if res > 1e-9:
         raise ValueError(
@@ -103,14 +95,14 @@ def conjugation_frame(W):
     W = _check_su2(W)
     q = _quat_of(W)
     if abs(q[1]) < 1e-14:
-        return find_conjugating_gate(W), np.eye(2, dtype=complex)
+        return find_conjugating_gate(W), IDENTITY
     # rotate the Bloch axis about z so its x component vanishes; the
     # rotation sense depends on conventions, so try both and keep the one
     # that actually zeroes the component (deterministic either way)
     psi = math.atan2(q[1], q[2])
-    for half in (psi / 2.0, -psi / 2.0):
-        F = np.array([[cmath.exp(-1j * half), 0], [0, cmath.exp(1j * half)]])
-        Wp = F.conj().T @ W @ F
+    for angle in (psi, -psi):
+        F = rz_mat(angle)
+        Wp = mul(adjoint(F), W, F)
         if abs(_quat_of(Wp)[1]) < 1e-12:
             return find_conjugating_gate(Wp), F
     raise ValueError("frame construction failed")  # pragma: no cover
@@ -184,7 +176,7 @@ class McmtSpec(namedtuple("McmtSpec", "n m gates")):
 
 
 def _u2(t, M):
-    return Gate("U2", (t,), matrix=np.asarray(M, dtype=complex))
+    return Gate("U2", (t,), matrix=M)
 
 
 def mcmt_su2(spec: McmtSpec) -> Circuit:
@@ -226,12 +218,12 @@ def _mcmt_su2_gates(controls, targets, ws):
     gates = []
     # layer P = A F^dag on each target, then G, A, k2-CX, A^dag, G^-1,
     # A^dag ... chosen so the all-fire branch reads F (X A X A^dag)^2 F^dag
-    gates += [_u2(t, A.conj().T @ F.conj().T)
+    gates += [_u2(t, mul(adjoint(A), adjoint(F)))
               for t, (A, F) in zip(targets, pairs)]
     gates += g_fwd
     gates += [_u2(t, A) for t, (A, F) in zip(targets, pairs)]
     gates += k2_fan
-    gates += [_u2(t, A.conj().T) for t, (A, F) in zip(targets, pairs)]
+    gates += [_u2(t, adjoint(A)) for t, (A, F) in zip(targets, pairs)]
     gates += g_bwd
     gates += [_u2(t, A) for t, (A, F) in zip(targets, pairs)]
     gates += k2_fan
@@ -249,13 +241,11 @@ def _mcmt_su2_two_controls(spec: McmtSpec) -> Circuit:
     gates = []
     for i, W in enumerate(spec.gates):
         t = 2 + i
-        q = _quat_of(W)
-        V = _quat_to_mat(_principal_sqrt_su2(q))
-        Vd = V.conj().T
+        V = _quat_to_mat(_principal_sqrt_su2(_quat_of(W)))
         gates += [
             Gate("CU2", (1, t), matrix=V),
             Gate("CX", (0, 1)),
-            Gate("CU2", (1, t), matrix=Vd),
+            Gate("CU2", (1, t), matrix=adjoint(V)),
             Gate("CX", (0, 1)),
             Gate("CU2", (0, t), matrix=V),
         ]

@@ -262,7 +262,7 @@ def _sparse(c, spec):
     fire = bits[:spec.n].all(axis=0)
     want = bits[:, fire], amp[fire], owner[fire]
     for j, W in enumerate(spec.ws):
-        want = _apply_matrix(W, (spec.n + j,), *want)
+        want = _apply_matrix(np.asarray(W), (spec.n + j,), *want)
     rows = (np.hstack([out[0], bits[:, ~fire], want[0]]),
             np.concatenate([out[2], owner[~fire], want[2]]))
     first, key = _group(*rows)

@@ -5,6 +5,7 @@ import pytest
 
 from qsynth.approx import (ApproxParams, _ladder, _mat_power, approx_mcu,
                            nb_from_epsilon, su2_angle)
+from qsynth.cli import parse_gate_spec, run
 from qsynth.ir import Circuit, cnot_count, lower, report_for
 from qsynth.sim import apply, rx_mat, rz_mat, spectral_distance, unitary_of
 
@@ -13,7 +14,7 @@ from conftest import X, ctrl_u, random_su2
 
 def root_gate(U, j):
     """Principal 2^j-th root of a 2x2 unitary via eigenphase division."""
-    return _mat_power(U, 1.0 / (1 << j))
+    return np.asarray(_mat_power(U, 1.0 / (1 << j)))
 
 
 def _exact_mcu(n, U):
@@ -170,3 +171,19 @@ def test_error_shrinks_with_larger_nb():
         # phase-aligned distance from the ideal output state
         errs.append(math.sqrt(max(0.0, 2 - 2 * abs(np.vdot(want, out)))))
     assert errs[0] > errs[1] > errs[2]
+
+
+@pytest.mark.parametrize("gate", ["rz(2*pi)", "[[-1, 0], [0, -1]]"])
+@pytest.mark.parametrize("n, epsilon, n_b, cnot, tier", [
+    (9, 0.5, 4, 176, "dense"), (11, 0.1, 6, 280, "spot")])
+def test_su2_part_minus_identity(capsys, gate, n, epsilon, n_b, cnot, tier):
+    # theta = 2 pi, the top of its range: the SU(2) part is -I
+    c, params = approx_mcu(n, parse_gate_spec(gate), epsilon)
+    assert abs(params.theta - 2 * math.pi) < 1e-12
+    assert (params.n_b, cnot_count(c)) == (n_b, cnot)
+    assert cnot == 4 * n_b ** 2 + 24 * n - 12 * n_b - 56
+    code = run(["verify", "approx-u", "--controls", str(n), "--gate", gate,
+                "--epsilon", str(epsilon)])
+    assert code == 0
+    assert capsys.readouterr().err.startswith(
+        "verify approx-u: ok tier=%s " % tier)

@@ -215,8 +215,8 @@ def test_parse_angle(capsys):
 def test_parse_gate_spec():
     assert np.array_equal(parse_gate_spec("x"),
                           np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.abs(parse_gate_spec("rx(pi/3)") - rx_mat(math.pi / 3)).max() \
-        < 1e-15
+    assert np.abs(np.asarray(parse_gate_spec("rx(pi/3)"))
+                  - rx_mat(math.pi / 3)).max() < 1e-15
     # flat row-major [re, im] pairs
     M = parse_gate_spec(json.dumps([[0, 0], [1, 0], [1, 0], [0, 0]]))
     assert np.array_equal(M, np.array([[0, 1], [1, 0]], dtype=complex))

@@ -87,7 +87,7 @@ def test_lower_cu2_is_two_cx_and_exact(rng):
 
 def test_lower_handles_general_u2_phase():
     # det != 1: controlled phase must be carried onto the control line
-    U = np.exp(0.37j) * rz_mat(1.1)
+    U = np.exp(0.37j) * np.asarray(rz_mat(1.1))
     c = Circuit(2, [Gate("CU2", (0, 1), matrix=U)])
     assert np.abs(unitary_of(lower(c)) - unitary_of(c)).max() < 1e-9
 
@@ -155,7 +155,8 @@ def test_remap(rng, monkeypatch):
               for g in c.gates]
     want_i = [Gate(adjoint.get(g.kind, g.kind), g.qubits,
                    None if g.angle is None else -g.angle,
-                   None if g.matrix is None else g.matrix.conj().T)
+                   None if g.matrix is None
+                   else np.asarray(g.matrix).conj().T)
               for g in reversed(c.gates)]
     calls = []
     real_check = ir.check_unitary
@@ -165,7 +166,7 @@ def test_remap(rng, monkeypatch):
     assert not calls
     assert list(moved.gates) == want_r and list(inv.gates) == want_i
     for g in moved.gates + inv.gates:
-        assert g.matrix is None or not g.matrix.flags.writeable
+        assert g.matrix is None or isinstance(g.matrix, tuple)
 
 
 def _family_circuits():

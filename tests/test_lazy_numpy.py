@@ -10,8 +10,9 @@ import pytest
 
 import qsynth
 from qsynth.cli import run
-from qsynth.ir import export_text
+from qsynth.ir import export_text, ry_mat, rz_mat
 from qsynth.mcx import McxSpec, mcx_log
+from qsynth.su2 import McmtSpec, mcmt_su2
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -48,18 +49,37 @@ sys.exit(code)
      "--format", "qasm3"],
     ["export", "--format", "qasm2", "--in", "{mcx}"],
     ["bench", "--family", "mcx_clean", "--n-min", "3", "--n-max", "12"],
+    ["synth", "mcmt-su2", "--controls", "12", "--targets", "2", "--gate",
+     "h", "--format", "json"],
+    ["synth", "mcmt-su2", "--controls", "5", "--targets", "3", "--gate",
+     "ry(pi/3)", "--format", "qasm3"],
+    ["synth", "approx-u", "--controls", "14", "--gate", "rz(pi/4)",
+     "--epsilon", "0.1", "--format", "qasm2"],
+    ["export", "--format", "qasm3", "--in", "{mcmt_su2}"],
+    ["bench", "--family", "mcmt_su2", "--n-min", "3", "--n-max", "20",
+     "--m", "2"],
+    ["bench", "--family", "approx_u", "--n-min", "10", "--n-max", "16",
+     "--epsilon", "0.1"],
 ])
 def test_matrix_free_requests_never_load_numpy(tmp_path, argv):
-    """Nor the matrix modules, the verifier or dataclasses: mcmt-x alone
-    runs su2, for its fanout around the mcx."""
-    src = tmp_path / "mcx.json"
-    src.write_text(export_text(mcx_log(McxSpec(9, "dirty")), "json"))
-    r = fresh(_RUN_THEN_CHECK, *[a.format(mcx=src) for a in argv])
+    """Nor the verifier or dataclasses: gate matrices are tuples of Python
+    complex numbers, so only the simulator and the verifier need numpy.
+    mcmt-x runs su2, for its fanout around the mcx; mcmt-su2 and approx-u
+    run su2 and approx."""
+    paths = {"mcx": tmp_path / "mcx.json", "mcmt_su2": tmp_path / "su2.json"}
+    paths["mcx"].write_text(export_text(mcx_log(McxSpec(9, "dirty")),
+                                        "json"))
+    paths["mcmt_su2"].write_text(export_text(
+        mcmt_su2(McmtSpec(9, 2, (rz_mat(0.4), ry_mat(1.1)))), "json"))
+    ran = ""
+    if "mcmt-x" in argv:
+        ran = " qsynth.su2"
+    elif {"mcmt-su2", "approx-u", "mcmt_su2", "approx_u"} & set(argv):
+        ran = " qsynth.su2 qsynth.approx"
+    r = fresh(_RUN_THEN_CHECK, *[a.format(**paths) for a in argv])
     assert r.returncode == 0, r.stderr
     assert r.stdout
-    loaded = r.stderr.rstrip().splitlines()[-1]
-    assert loaded == ("loaded: qsynth.su2" if "mcmt-x" in argv
-                      else "loaded:")
+    assert r.stderr.rstrip().splitlines()[-1] == "loaded:" + ran
 
 
 def test_traced_modules_are_registered_on_cli_import():

@@ -55,8 +55,9 @@ def _old_mcmt_su2(n, m, ws):
     def layer(f):
         return [_u2(t, f(A, F)) for t, (A, F) in zip(targets, pairs)]
 
-    return [*layer(lambda A, F: A.conj().T @ F.conj().T), *g_fwd.gates,
-            *layer(lambda A, F: A), *fan, *layer(lambda A, F: A.conj().T),
+    return [*layer(lambda A, F: ir.mul(ir.adjoint(A), ir.adjoint(F))),
+            *g_fwd.gates, *layer(lambda A, F: A), *fan,
+            *layer(lambda A, F: ir.adjoint(A)),
             *inverse(g_fwd).gates, *layer(lambda A, F: A), *fan,
             *layer(lambda A, F: F)]
 
