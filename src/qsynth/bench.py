@@ -36,48 +36,46 @@ def default_gate(target):
     return None
 
 
+class Spec(namedtuple("Spec", "target n ws ancilla epsilon n_b",
+                      defaults=("none", None, None))):
+    """What a circuit must do.  ``target`` keys ``verify.CNOT_TABLE``;
+    ``ws`` holds the target gates as 2x2 matrix tuples; ``ancilla`` is
+    clean, dirty or none; ``epsilon`` and ``n_b`` (base controls [0, n_b])
+    describe an approximate circuit."""
+    __slots__ = ()
+
+
 def build(target, n, m=1, ancilla="clean", gate=None, epsilon=0.1,
           n_b=None):
-    """The circuit one request names, and a function that gives the spec it
-    must meet.
+    """The circuit one request names, and the Spec it must meet.
 
     ``m`` is the target count of mcmt-x and mcmt-su2, ``ancilla`` the kind
-    of mcx, ``gate`` the 2x2 unitary of mcmt-su2 and approx-u.  The spec is
-    left to a function because it needs the verifier, and the mcx and
-    mcmt-x specs hold X matrices: synthesis alone has no use for either.
-    Each branch imports the constructions it runs, so an mcx request loads
-    neither ``su2`` nor ``approx``.
+    of mcx, ``gate`` the 2x2 unitary of mcmt-su2 and approx-u.  Each branch
+    imports the constructions it runs, so an mcx request loads neither
+    ``su2`` nor ``approx``.
     """
     if gate is None:
         gate = default_gate(target)
     if target == "mcx":
         c = mcx_log(McxSpec(n, ancilla))
-        return c, lambda: _spec("mcx", n, (fixed_matrix("X"),), ancilla)
+        return c, Spec("mcx", n, (fixed_matrix("X"),), ancilla)
     if target == "mcmt-x":
         from .su2 import mcmt_x
         c = mcmt_x(n, m)
-        return c, lambda: _spec("mcmt-x", n, (fixed_matrix("X"),) * m,
-                                "clean")
+        return c, Spec("mcmt-x", n, (fixed_matrix("X"),) * m, "clean")
     if target == "mcmt-su2":
         from .approx import su2_angle
         from .su2 import McmtSpec, mcmt_su2
         # multi-target SU(2) synthesis works up to the global phase
         ws = (scale(gate, cmath.exp(-1j * su2_angle(gate)[1])),) * m
         c = mcmt_su2(McmtSpec(n, m, ws))
-        return c, lambda: _spec("mcmt-su2", n, ws)
+        return c, Spec("mcmt-su2", n, ws)
     if target == "approx-u":
         from .approx import approx_mcu
         c, params = approx_mcu(n, gate, epsilon, n_b)
-        return c, lambda: _spec("approx-u", n, (gate,), epsilon=epsilon,
-                                n_b=params.n_b)
+        return c, Spec("approx-u", n, (gate,), epsilon=epsilon,
+                       n_b=params.n_b)
     raise ValueError("unknown target %r" % (target,))
-
-
-def _spec(*fields, **kw):
-    """``verify.Spec(*fields, **kw)``; the verifier is imported here, so
-    only the requests that verify load it."""
-    from .verify import Spec
-    return Spec(*fields, **kw)
 
 
 class BenchRow(namedtuple("BenchRow", "family n m cnot depth baseline_cnot "

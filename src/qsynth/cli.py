@@ -130,7 +130,7 @@ def _requested(args):
 
 
 def cmd_synth(args):
-    c, _spec = _requested(args)
+    c, _ = _requested(args)
     sys.stdout.write(export_text(c, args.format))
     kind = next((r for r in c.ancilla_roles if r != "none"), "none")
     sys.stderr.write(_report_line(report_for(c, kind)) + "\n")
@@ -138,10 +138,10 @@ def cmd_synth(args):
 
 
 def _verify(c, spec, prefix):
-    """Verify ``c`` against ``spec()``, print the verdict lines; 1 on FAIL."""
+    """Verify ``c`` against ``spec``, print the verdict lines; 1 on FAIL."""
     # imported here so that only the requests that verify load the verifier
     from .verify import verify_circuit
-    verdict = verify_circuit(c, spec())
+    verdict = verify_circuit(c, spec)
     for line in verdict.lines():
         sys.stderr.write("%s: %s\n" % (prefix, line))
     return 1 if verdict.fails else 0

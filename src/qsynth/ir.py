@@ -114,16 +114,17 @@ def check_unitary(m, tol=_UNITARITY_TOL):
     return m
 
 
-class Gate:
+class Gate(namedtuple("Gate", "kind qubits angle matrix")):
     """A single gate instance: kind, operand qubits, optional parameter.
 
     ``qubits`` lists controls first and the target last.  ``angle`` is set
-    for rotation kinds, ``matrix`` for U2/CU2.
+    for rotation kinds, ``matrix`` for U2/CU2.  Calling ``Gate`` checks
+    every field; code that holds fields which already passed those checks
+    builds through ``_make`` and ``_replace``, which skip them.
     """
+    __slots__ = ()
 
-    __slots__ = ("kind", "qubits", "angle", "matrix")
-
-    def __init__(self, kind, qubits, angle=None, matrix=None):
+    def __new__(cls, kind, qubits, angle=None, matrix=None):
         if kind not in ARITY:
             raise ValueError("unknown gate kind %r" % (kind,))
         qubits = tuple(int(q) for q in qubits)
@@ -149,25 +150,7 @@ class Gate:
             matrix = check_unitary(matrix)
         elif matrix is not None:
             raise ValueError("%s takes no matrix" % kind)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "angle", angle)
-        object.__setattr__(self, "matrix", matrix)
-
-    @classmethod
-    def _checked(cls, kind, qubits, angle=None, matrix=None):
-        """A gate from fields that already passed ``__init__``'s checks:
-        ``qubits`` a tuple of distinct non-negative ints, ``angle`` a finite
-        float, ``matrix`` a unitary tuple.  Nothing is checked again."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "kind", kind)
-        object.__setattr__(g, "qubits", qubits)
-        object.__setattr__(g, "angle", angle)
-        object.__setattr__(g, "matrix", matrix)
-        return g
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Gate is immutable")
+        return super().__new__(cls, kind, qubits, angle, matrix)
 
     def __repr__(self):
         extra = ""
@@ -176,15 +159,6 @@ class Gate:
         if self.matrix is not None:
             extra = ", matrix=..."
         return "Gate(%r, %r%s)" % (self.kind, self.qubits, extra)
-
-    def __eq__(self, other):
-        if not isinstance(other, Gate):
-            return NotImplemented
-        return ((self.kind, self.qubits, self.angle, self.matrix)
-                == (other.kind, other.qubits, other.angle, other.matrix))
-
-    def __hash__(self):
-        return hash((self.kind, self.qubits, self.angle))
 
 
 ANCILLA_ROLES = ("none", "clean", "dirty")
@@ -207,16 +181,16 @@ def _register(num_qubits, ancilla_roles):
     return num_qubits, ancilla_roles
 
 
-class Circuit:
+class Circuit(namedtuple("Circuit", "num_qubits gates ancilla_roles")):
     """Ordered gate sequence over a fixed register, immutable.
 
     ``ancilla_roles`` annotates each qubit with 'none', 'clean' or 'dirty';
-    plain data qubits are 'none'.
+    plain data qubits are 'none'.  Calling ``Circuit`` checks every gate;
+    ``_checked``, ``_make`` and ``_replace`` do not.
     """
+    __slots__ = ()
 
-    __slots__ = ("num_qubits", "gates", "ancilla_roles")
-
-    def __init__(self, num_qubits, gates=(), ancilla_roles=None):
+    def __new__(cls, num_qubits, gates=(), ancilla_roles=None):
         num_qubits, ancilla_roles = _register(num_qubits, ancilla_roles)
         gates = tuple(gates)
         for g in gates:
@@ -225,41 +199,18 @@ class Circuit:
             if max(g.qubits, default=-1) >= num_qubits:
                 raise ValueError("gate %r outside register of %d qubits"
                                  % (g, num_qubits))
-        object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "ancilla_roles", ancilla_roles)
+        return super().__new__(cls, num_qubits, gates, ancilla_roles)
 
     @classmethod
     def _checked(cls, num_qubits, gates, ancilla_roles=None):
-        """A circuit whose parts already passed ``__init__``'s checks:
-        ``gates`` are Gates inside the register and ``ancilla_roles`` is
-        None or a valid tuple.  The gates are not checked again."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "num_qubits", num_qubits)
-        object.__setattr__(c, "gates", tuple(gates))
-        object.__setattr__(c, "ancilla_roles", ancilla_roles
-                           or ("none",) * num_qubits)
-        return c
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Circuit is immutable")
-
-    def __len__(self):
-        return len(self.gates)
+        """A circuit of Gates that lie inside the register, with roles
+        None ('none' on every qubit) or a valid tuple."""
+        return cls._make((num_qubits, tuple(gates),
+                          ancilla_roles or ("none",) * num_qubits))
 
     def __repr__(self):
         return "Circuit(%d qubits, %d gates)" % (self.num_qubits,
                                                  len(self.gates))
-
-    def __eq__(self, other):
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        return (self.num_qubits == other.num_qubits
-                and self.ancilla_roles == other.ancilla_roles
-                and self.gates == other.gates)
-
-    def __hash__(self):
-        return hash((self.num_qubits, self.ancilla_roles, len(self.gates)))
 
 
 class DecompReport(namedtuple("DecompReport", "cnot_count total_gates "
@@ -297,9 +248,9 @@ def remap(circuit: Circuit, mapping, num_qubits) -> Circuit:
                          % num_qubits)
     if len(set(image.values())) != len(image):
         raise ValueError("qubit mapping sends two used qubits to one")
-    gates = [Gate._checked(g.kind, tuple(map(image.__getitem__, g.qubits)),
-                           g.angle, g.matrix) for g in circuit.gates]
-    return Circuit._checked(num_qubits, gates)
+    return Circuit._checked(num_qubits, [
+        g._replace(qubits=tuple(map(image.__getitem__, g.qubits)))
+        for g in circuit.gates])
 
 
 # ---------------------------------------------------------------------------
@@ -368,53 +319,38 @@ def _abc(U):
     return tuple(None if m is None else check_unitary(m) for m in parts)
 
 
+@lru_cache(maxsize=4096)
 def _cu2_parts(c, t, U):
-    """Controlled-U via the ABC decomposition as (kind, qubits, angle,
-    matrix) rows: 2 CX plus the single-qubit parts that are not the
-    identity."""
+    """Controlled-U via the ABC decomposition as lowered gates: 2 CX plus
+    the single-qubit parts that are not the identity.  Cached, since a
+    circuit repeats a CU2 gate on the same wires."""
     C, B, A, phase = _abc(U)
-    rows = (("U2", (t,), None, C), ("CX", (c, t), None, None),
-            ("U2", (t,), None, B), ("CX", (c, t), None, None),
-            ("U2", (t,), None, A), ("U2", (c,), None, phase))
-    return [r for r in rows if r[0] == "CX" or r[3] is not None]
+    rows = (("U2", (t,), C), ("CX", (c, t), None), ("U2", (t,), B),
+            ("CX", (c, t), None), ("U2", (t,), A), ("U2", (c,), phase))
+    return tuple(Gate._make((kind, qubits, None, m))
+                 for kind, qubits, m in rows if kind == "CX" or m is not None)
 
 
-@lru_cache(maxsize=1024)
-def _template_operands(kind, qubits):
-    """Operand tuple of each row of ``_TEMPLATES[kind]`` for the macro on
-    ``qubits``.  Cached: a circuit repeats a macro on the same wires, at
-    least once more to uncompute it."""
+@lru_cache(maxsize=4096)
+def _template_gates(kind, qubits):
+    """The lowered gates of the ``kind`` macro on ``qubits``, one per row
+    of ``_TEMPLATES[kind]``.  Cached: a circuit repeats a macro on the same
+    wires, at least once more to uncompute it."""
     at = qubits.__getitem__
-    return tuple(tuple(map(at, pos)) for _, pos in _TEMPLATES[kind])
+    return tuple(Gate._make((k, tuple(map(at, pos)), None, None))
+                 for k, pos in _TEMPLATES[kind])
 
 
-def _lowered_operands(circuit):
-    """The operand tuple of each gate of ``lower(circuit)``, in order, found
-    without building any gate."""
+def _lowered(circuit):
+    """Each gate of ``lower(circuit)``, in order.  ``lower``, ``depth``,
+    ``report_for`` and the assembly export all read this one walk."""
     for g in circuit.gates:
         if g.kind in LOWERED_KINDS:
-            yield g.qubits
-        elif g.kind == "CU2":
-            for row in _cu2_parts(*g.qubits, g.matrix):
-                yield row[1]
-        else:
-            yield from _template_operands(g.kind, g.qubits)
-
-
-def _lowered_rows(circuit):
-    """Each gate of ``lower(circuit)`` as a (kind, qubits, angle, matrix)
-    row, in order, found without building any gate.  ``depth`` keeps its
-    own operand walk, which builds no row either."""
-    for g in circuit.gates:
-        if g.kind in LOWERED_KINDS:
-            yield g.kind, g.qubits, g.angle, g.matrix
+            yield g
         elif g.kind == "CU2":
             yield from _cu2_parts(*g.qubits, g.matrix)
         else:
-            for (kind, _), qubits in zip(_TEMPLATES[g.kind],
-                                         _template_operands(g.kind,
-                                                            g.qubits)):
-                yield kind, qubits, None, None
+            yield from _template_gates(g.kind, g.qubits)
 
 
 def lower(circuit: Circuit) -> Circuit:
@@ -427,10 +363,7 @@ def lower(circuit: Circuit) -> Circuit:
     """
     if all(g.kind in LOWERED_KINDS for g in circuit.gates):
         return circuit
-    return Circuit._checked(circuit.num_qubits,
-                            [Gate._checked(*row)
-                             for row in _lowered_rows(circuit)],
-                            circuit.ancilla_roles)
+    return circuit._replace(gates=tuple(_lowered(circuit)))
 
 
 # CX contribution of each kind once lowered; used for fast counting
@@ -451,12 +384,13 @@ def depth(circuit: Circuit) -> int:
     """Greedy as-soon-as-possible layer count of the lowered circuit.
 
     Every gate of ``lower(circuit)`` costs one layer and enters the
-    earliest layer where all of its qubits are free.  Macros are walked
-    through their lowering without building it.  Empty circuit has depth 0.
+    earliest layer where all of its qubits are free.  Empty circuit has
+    depth 0.
     """
     frontier = [0] * circuit.num_qubits
     # a lowered gate acts on one qubit or, as CX, on two
-    for qubits in _lowered_operands(circuit):
+    for g in _lowered(circuit):
+        qubits = g.qubits
         if len(qubits) == 1:
             frontier[qubits[0]] += 1
         else:
@@ -478,8 +412,7 @@ def inverse(circuit: Circuit) -> Circuit:
     this is a property of its defining network).  The adjoint of a checked
     gate needs no check of its own.
     """
-    return Circuit._checked(circuit.num_qubits, inverse_gates(circuit.gates),
-                            circuit.ancilla_roles)
+    return circuit._replace(gates=tuple(inverse_gates(circuit.gates)))
 
 
 def inverse_gates(gates) -> list:
@@ -489,15 +422,12 @@ def inverse_gates(gates) -> list:
     for g in reversed(gates):
         if g.kind in _ADJOINT_SELF:
             out.append(g)
-        elif g.kind == "T":
-            out.append(Gate._checked("Tdg", g.qubits))
-        elif g.kind == "Tdg":
-            out.append(Gate._checked("T", g.qubits))
+        elif g.kind in ("T", "Tdg"):
+            out.append(g._replace(kind="Tdg" if g.kind == "T" else "T"))
         elif g.kind in ANGLE_KINDS:
-            out.append(Gate._checked(g.kind, g.qubits, angle=-g.angle))
+            out.append(g._replace(angle=-g.angle))
         elif g.kind in MATRIX_KINDS:
-            out.append(Gate._checked(g.kind, g.qubits, None,
-                                     adjoint(g.matrix)))
+            out.append(g._replace(matrix=adjoint(g.matrix)))
         else:  # pragma: no cover
             raise ValueError("no adjoint for %r" % (g.kind,))
     return out
@@ -508,7 +438,7 @@ def report_for(circuit: Circuit, ancilla_kind="none") -> DecompReport:
     those of its lowering, found without building it."""
     return DecompReport(
         cnot_count=cnot_count(circuit),
-        total_gates=sum(1 for _ in _lowered_operands(circuit)),
+        total_gates=sum(1 for _ in _lowered(circuit)),
         depth=depth(circuit),
         num_ancilla=sum(1 for r in circuit.ancilla_roles if r != "none"),
         ancilla_kind=ancilla_kind,
@@ -533,9 +463,9 @@ def _gate_to_json(g: Gate) -> dict:
 
 def _qasm_body(circuit: Circuit, u_name: str) -> list:
     """Statement list shared by the two assembly dialects, written from the
-    rows of the lowering without building it."""
+    gates of the lowering without building it."""
     lines = []
-    for kind, qubits, angle, matrix in _lowered_rows(circuit):
+    for kind, qubits, angle, matrix in _lowered(circuit):
         # a lowered gate acts on one qubit or, as CX, on two
         q = "q[%d]" % qubits if len(qubits) == 1 else "q[%d],q[%d]" % qubits
         if kind in FIXED_KINDS:

@@ -21,6 +21,7 @@ from functools import reduce
 from itertools import combinations
 
 from ._np import np
+from .bench import Spec  # re-exported: the spec verify_circuit checks
 from .ir import cnot_count, lower
 from .sim import (UNITARY_CAP, apply, equiv, gate_matrix, random_state,
                   spectral_distance, unitary_of)
@@ -31,14 +32,6 @@ _TOL = 1e-7            # spot and sparse tolerance of the exact targets
 _TINY = 1e-12          # amplitudes dropped after a gate spreads the rows
 MAX_ROWS = 1 << 21     # sparse rows held at once: about 100 MB at 20 qubits
 _ALL_PAIRS = 64        # up to this many controls, every pair is cleared
-
-
-class Spec(namedtuple("Spec", "target n ws ancilla epsilon n_b",
-                      defaults=("none", None, None))):
-    """What a circuit must do.  ``target`` keys CNOT_TABLE; ``ws`` holds
-    the target gates; ``ancilla`` is clean, dirty or none; ``epsilon`` and
-    ``n_b`` (base controls [0, n_b]) describe an approximate circuit."""
-    __slots__ = ()
 
 
 # target -> exact CX count of (n, m, ancilla, n_b); n <= 2 circuits are
@@ -178,8 +171,7 @@ def _spot(c, spec):
         inputs = [((int(rng.integers(2)) if spec.ancilla == "dirty" else 0)
                    << (n + 1), np.arange(1 << (n + 1)), psi) for psi in psis]
     else:
-        # basis-valued controls and a random target state; these checks
-        # align one phase per input
+        # basis-valued controls and a random target state
         inputs = [(pat, np.arange(1 << m) << n, random_state(m, rng))
                   for pat in [(1 << n) - 1] + [
                       int(rng.integers(1 << n) & ((1 << n) - 2))
@@ -191,7 +183,11 @@ def _spot(c, spec):
     if spec.target != "mcx":
         at = np.abs(want).argmax(axis=0), np.arange(len(inputs))
         phase = np.exp(-1j * np.angle(out[at] / want[at]))
-        out = out * np.where(np.abs(out[at]) > 1e-12, phase, 1)
+        phase = np.where(np.abs(out[at]) > 1e-12, phase, 1)
+        # an exact circuit may differ from the oracle by one global phase,
+        # the firing input's, as in the sparse tier; an approximate one is
+        # checked column by column, each at its own phase
+        out = out * (phase if spec.epsilon is not None else phase[0])
     tol = _TOL if spec.epsilon is None else spec.epsilon
     d = np.abs(out - want).max(axis=0)
     bad = np.flatnonzero(d > tol)
@@ -297,14 +293,14 @@ def verify_circuit(c, spec) -> Verdict:
     fails = []
     if got != want:
         fails.append("cnot count %d != %d" % (got, want))
-    note = ""
     if c.num_qubits <= UNITARY_CAP - 2:
         tier, inputs, more = "dense", 1 << c.num_qubits, _dense(c, spec)
     elif c.num_qubits <= SPOT_CAP:
         tier, (inputs, more) = "spot", _spot(c, spec)
     else:
         tier, (inputs, more) = "sparse", _sparse(c, spec)
-        if spec.epsilon is not None:
-            note = ("; the per-column epsilon check is necessary, "
-                    "not sufficient, for the spectral bound")
+    note = ""
+    if spec.epsilon is not None and tier != "dense":
+        note = ("; the per-column epsilon check is necessary, "
+                "not sufficient, for the spectral bound")
     return Verdict(tier, inputs, tuple(fails + more), note)

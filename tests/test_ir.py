@@ -202,6 +202,24 @@ def test_unchecked_builds_pass_the_public_checks(rng):
         assert Circuit(c.num_qubits, again, c.ancilla_roles) == c, c
 
 
+def test_trusted_builds_yield_valid_gates(rng):
+    # lower, inverse, remap and the constructions build through _make and
+    # _replace, which skip the checks of Gate(...) and Circuit(...); every
+    # gate and circuit they give must pass those checks unchanged
+    cs = [random_circuit(nq, rng) for nq in range(3, 7)]
+    cs += [build(target, n, 2, ancilla)[0]
+           for target, ancilla in FAMILY_TARGET.values()
+           for n in ((10, 12) if target == "approx-u" else (1, 2, 5, 20))]
+    for c in cs:
+        nq = c.num_qubits + 2
+        moved = remap(c, dict(enumerate(rng.permutation(nq))), nq)
+        for out in (c, lower(c), inverse(c), moved):
+            for g in out.gates:
+                assert Gate(*g) == g, g
+            assert Circuit(out.num_qubits, out.gates,
+                           out.ancilla_roles) == out, out
+
+
 def _qasm_from_gates(c, fmt):
     """Assembly text of ``c`` written gate by gate from ``lower(c)``."""
     if fmt == "qasm2":

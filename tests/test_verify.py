@@ -87,8 +87,8 @@ def test_mcmt_su2_count_is_exact():
     c, spec = bench.build("mcmt-su2", 4, 3, gate=random_su2(
         np.random.default_rng(5)))
     bad = Circuit(c.num_qubits, c.gates + (Gate("CX", (0, 4)),) * 2)
-    assert verify_circuit(c, spec()).fails == ()
-    v = verify_circuit(bad, spec())
+    assert verify_circuit(c, spec).fails == ()
+    v = verify_circuit(bad, spec)
     assert v.fails == ("cnot count %d != %d" % (12 * 4 + 6 * 3 - 26,
                                                  12 * 4 + 6 * 3 - 28),)
 
@@ -107,3 +107,27 @@ def test_verify_names_its_tier(capsys, argv, tier):
     err = capsys.readouterr().err
     assert ": ok tier=%s inputs=" % tier in err
     assert ("necessary, not sufficient" in err) == argv.startswith("approx")
+
+
+@pytest.mark.parametrize("target, n", [("mcmt-su2", 10), ("mcmt-x", 9)])
+def test_spot_tier_sees_a_phase_that_depends_on_the_controls(target, n):
+    # Rz on control 0 keeps the CX count and maps each basis pattern of the
+    # controls to itself up to a phase, but that phase moves with control 0:
+    # the exact targets share one phase over all inputs, so input 1 (control
+    # 0 clear) fails against the firing input's phase
+    c, spec = bench.build(target, n, 2)
+    bad = Circuit(c.num_qubits, c.gates + (Gate("Rz", (0,), angle=0.3),),
+                  c.ancilla_roles)
+    assert verify_circuit(c, spec).lines() == ["ok tier=spot inputs=6"]
+    v = verify_circuit(bad, spec)
+    assert (v.tier, v.inputs, len(v.fails)) == ("spot", 6, 1)
+    assert v.fails[0].startswith("spot check distance")
+    assert v.fails[0].endswith("(input 1)")
+
+
+def test_approx_spot_verdict_says_it_checks_columns(capsys):
+    assert cli.run(["verify", "approx-u", "--controls", "12", "--gate", "x",
+                    "--epsilon", "0.1"]) == 0
+    assert capsys.readouterr().err == (
+        "verify approx-u: ok tier=spot inputs=6; the per-column epsilon "
+        "check is necessary, not sufficient, for the spectral bound\n")
