@@ -160,6 +160,8 @@ def cmd_bench(args):
                          % (args.n_min, args.n_max))
     if args.epsilon is not None and args.family != "approx_u":
         raise UsageError("--epsilon applies only to --family approx_u")
+    if args.m != 1 and args.family not in ("mcmt_x", "mcmt_su2"):
+        raise UsageError("--m applies only to --family mcmt_x and mcmt_su2")
     # run_family and build hold the default epsilon
     params = {} if args.epsilon is None else {"epsilon": args.epsilon}
     ns = range(args.n_min, args.n_max + 1, args.step)

@@ -114,6 +114,14 @@ def check_unitary(m, tol=_UNITARITY_TOL):
     return m
 
 
+def _index(i, what):
+    """``i`` as an int: ValueError for a bool or a non-integer, which
+    ``int`` would truncate."""
+    if isinstance(i, bool) or not hasattr(i, "__index__"):
+        raise ValueError("%s must be an integer, got %r" % (what, i))
+    return operator.index(i)
+
+
 class Gate(namedtuple("Gate", "kind qubits angle matrix")):
     """A single gate instance: kind, operand qubits, optional parameter.
 
@@ -127,7 +135,7 @@ class Gate(namedtuple("Gate", "kind qubits angle matrix")):
     def __new__(cls, kind, qubits, angle=None, matrix=None):
         if kind not in ARITY:
             raise ValueError("unknown gate kind %r" % (kind,))
-        qubits = tuple(int(q) for q in qubits)
+        qubits = tuple(_index(q, "qubit index") for q in qubits)
         if len(qubits) != ARITY[kind]:
             raise ValueError("%s expects %d qubits, got %d"
                              % (kind, ARITY[kind], len(qubits)))
@@ -167,7 +175,7 @@ ANCILLA_ROLES = ("none", "clean", "dirty")
 def _register(num_qubits, ancilla_roles):
     """Checked (num_qubits, ancilla_roles) of a circuit; roles default to
     'none' on every qubit."""
-    num_qubits = int(num_qubits)
+    num_qubits = _index(num_qubits, "register size")
     if num_qubits < 0:
         raise ValueError("negative register size")
     if ancilla_roles is None:
@@ -236,11 +244,8 @@ def remap(circuit: Circuit, mapping, num_qubits) -> Circuit:
     moved gate valid, so the gates are not checked again.
     """
     num_qubits = _register(num_qubits, None)[0]
-    try:
-        image = {q: operator.index(mapping[q])
-                 for g in circuit.gates for q in g.qubits}
-    except TypeError:
-        raise ValueError("qubit mapping must give integers") from None
+    image = {q: _index(mapping[q], "qubit mapping")
+             for g in circuit.gates for q in g.qubits}
     if min(image.values(), default=0) < 0:
         raise ValueError("qubit mapping gives a negative index")
     if max(image.values(), default=-1) >= num_qubits:
@@ -515,15 +520,18 @@ def parse_json(text: str) -> Circuit:
     """Parse the JSON dialect produced by :func:`export_text`.
 
     Raises ValueError unless the text is an object with an integer ``n``
-    >= 0 and a ``gates`` list of objects that each have ``kind`` and
-    ``qubits``; ``ancilla_roles`` is optional.
+    from 0 to 8193 and a ``gates`` list of objects that each have ``kind``
+    and integer ``qubits``; ``ancilla_roles`` is optional.
     """
     import json
+    from .bench import COUNT_ONLY_MAX_N
+    widest = 2 * COUNT_ONLY_MAX_N + 1   # mcmt-x at the cap: n + m + 1 qubits
     doc = json.loads(text)
-    if not (isinstance(doc, dict) and isinstance(doc.get("n"), int)
-            and doc["n"] >= 0 and isinstance(doc.get("gates"), list)):
+    if not (isinstance(doc, dict) and type(doc.get("n")) is int
+            and 0 <= doc["n"] <= widest
+            and isinstance(doc.get("gates"), list)):
         raise ValueError("circuit JSON needs an object with an integer 'n' "
-                         ">= 0 and a 'gates' list")
+                         "from 0 to %d and a 'gates' list" % widest)
     try:
         gates = []
         for d in doc["gates"]:

@@ -239,11 +239,11 @@ def _mcx_gates(controls, t, anc, mode):
 def mcx_log(spec: McxSpec) -> Circuit:
     """n-controlled X on n+2 qubits using one clean or one dirty ancilla.
 
-    Clean mode: clean_subspace-equivalent to C^nX with the ancilla
-    restored to |0>, lowered CX count 6n-6 for n >= 3.  Dirty mode:
-    tensor_identity-equivalent to C^nX (ancilla untouched as a tensor
-    factor), lowered CX count 12n-18 for n >= 3.  For n <= 2 the ancilla
-    is never touched and the exact CX / Toffoli is emitted directly.
+    Clean mode: equal to C^nX on the inputs whose ancilla is |0>, which
+    comes back |0>; lowered CX count 6n-6 for n >= 3.  Dirty mode: equal
+    to C^nX (x) I; lowered CX count 12n-18 for n >= 3.  Neither differs by
+    a phase.  For n <= 2 the ancilla is never touched and the exact CX /
+    Toffoli is emitted directly.
     """
     n, mode = spec.n, spec.ancilla_mode
     gates = _mcx_gates(range(n), n, n + 1, mode)

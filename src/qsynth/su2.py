@@ -96,16 +96,13 @@ def conjugation_frame(W):
     q = _quat_of(W)
     if abs(q[1]) < 1e-14:
         return find_conjugating_gate(W), IDENTITY
-    # rotate the Bloch axis about z so its x component vanishes; the
-    # rotation sense depends on conventions, so try both and keep the one
-    # that actually zeroes the component (deterministic either way)
+    # Rz(-psi) turns the Bloch axis about z onto +y.  On an axis within
+    # 1e-12 of x or y, Rz(psi) also zeroes the x component (onto -y); the
+    # frame takes Rz(psi) there, which fixes the gates emitted for h and rx
     psi = math.atan2(q[1], q[2])
-    for angle in (psi, -psi):
-        F = rz_mat(angle)
-        Wp = mul(adjoint(F), W, F)
-        if abs(_quat_of(Wp)[1]) < 1e-12:
-            return find_conjugating_gate(Wp), F
-    raise ValueError("frame construction failed")  # pragma: no cover
+    flat = abs(2 * q[1] * q[2]) < 1e-12 * math.hypot(q[1], q[2])
+    F = rz_mat(psi if flat else -psi)
+    return find_conjugating_gate(mul(adjoint(F), W, F)), F
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +177,10 @@ def _u2(t, M):
 
 
 def mcmt_su2(spec: McmtSpec) -> Circuit:
-    """C^n(W_1 x ... x W_m) on n+m qubits with no ancilla, n >= 3.
+    """C^n(W_1 x ... x W_m) on n+m qubits, no ancilla, no global phase.
 
-    The last control k2 doubles as a conditionally clean ancilla for two
+    For n <= 2 it emits the controlled gates directly.  For n >= 3 the
+    last control k2 doubles as a conditionally clean ancilla for two
     inner (n-1)-controlled multi-target X gates G and G^-1 (X-conjugated
     so k2 = |1> presents as clean |0>).  Between and around them each
     target carries single-qubit dressings so that when every control

@@ -5,14 +5,16 @@ controls on wires [0, n), W_j on wire n + j and at most one ancilla after
 them.  It checks the CX count against :data:`CNOT_TABLE`, then runs the
 tier the register size selects:
 
-- dense (at most 11 qubits): the lowered circuit's unitary against the
-  oracle matrix;
-- spot (12 to 18 qubits): seeded statevectors through the lowered circuit,
-  as one stack;
+- dense (at most 11 qubits): every basis input the spec allows, as one
+  stack of columns through the lowered circuit;
+- spot (12 to 18 qubits): seeded statevectors, as one stack;
 - sparse (more than 18 qubits): near-firing inputs through a basis-index ->
   amplitude simulator (Jaques & Haner, arXiv:2105.01533), vectorised over
   the inputs.  It runs the macro gates with the dense simulator's own
   matrices; that lowering preserves them is tested on its own.
+
+Every tier holds each input to the one rule of :func:`_errors`, except
+that an approximate target's dense unitary is held to its spectral bound.
 """
 from __future__ import annotations
 
@@ -23,12 +25,12 @@ from itertools import combinations
 from ._np import np
 from .bench import Spec  # re-exported: the spec verify_circuit checks
 from .ir import cnot_count, lower
-from .sim import (UNITARY_CAP, apply, equiv, gate_matrix, random_state,
-                  spectral_distance, unitary_of)
+from .sim import (UNITARY_CAP, apply, gate_matrix, random_state,
+                  spectral_distance)
 
 SPOT_CAP = 18          # statevector spot checks beyond the dense cap
 _SPOT_SEED = 20240811
-_TOL = 1e-7            # spot and sparse tolerance of the exact targets
+_TOL = 1e-9            # largest entry error of an exact target, every tier
 _TINY = 1e-12          # amplitudes dropped after a gate spreads the rows
 MAX_ROWS = 1 << 21     # sparse rows held at once: about 100 MB at 20 qubits
 _ALL_PAIRS = 64        # up to this many controls, every pair is cleared
@@ -71,11 +73,6 @@ def apply_oracle(states, n, ws):
     out = np.array(states, dtype=complex)
     out[idx] = np.einsum("st,rt...->rs...", W, out[idx])
     return out
-
-
-def oracle_matrix(nq, n, ws):
-    """Unitary of C^n(W_1 x ... x W_m) over nq qubits."""
-    return apply_oracle(np.eye(1 << nq, dtype=complex), n, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -144,25 +141,27 @@ def sparse_apply(circuit, bits, amp, owner):
 
 
 # ---------------------------------------------------------------------------
-# tiers
+# the rule and the tiers
 
-def _dense(c, spec):
-    A, B = unitary_of(lower(c)), oracle_matrix(c.num_qubits, spec.n, spec.ws)
-    if spec.epsilon is not None:
-        d = spectral_distance(A, B)
-        return ["spectral error %.3e > epsilon %g" % (d, spec.epsilon)] \
-            if d > spec.epsilon else []
-    mode = {"clean": "clean_subspace", "dirty": "tensor_identity",
-            "none": "global_phase"}[spec.ancilla]
-    anc = () if spec.ancilla == "none" else (spec.n + len(spec.ws),)
-    r = equiv(A, B, mode, 1e-9, anc)
-    return [] if r else ["%s distance %.3e" % (mode, r.distance)]
+def _errors(o, w, owner, k, epsilon):
+    """Each of the k inputs' error, from the amplitudes ``o`` (circuit) and
+    ``w`` (oracle) of its rows, and the inputs whose error is too large.
+    An exact target's error is the largest entry of |o - w|, with no phase
+    freedom, bounded by _TOL; an approximate one's is the 2-norm of
+    o - e^{i phi} w at the input's best phase phi, bounded by epsilon,
+    which the spectral bound implies."""
+    if epsilon is None:
+        err = np.zeros(k)
+        np.maximum.at(err, owner, np.abs(o - w))
+        return err, np.flatnonzero(err > _TOL)
+    phase = np.exp(1j * np.angle(_sum_by(owner, w.conj() * o, k)))
+    err = np.sqrt(np.bincount(owner, np.abs(o - phase[owner] * w) ** 2, k))
+    return err, np.flatnonzero(err > epsilon)
 
 
-def _spot(c, spec):
-    """Seeded statevectors through the lowered circuit as one stack of
-    columns."""
-    n, m, nq = spec.n, len(spec.ws), c.num_qubits
+def _spot_inputs(spec, nq):
+    """Seeded statevectors, one per column."""
+    n, m = spec.n, len(spec.ws)
     rng = np.random.default_rng(_SPOT_SEED)
     if spec.target == "mcx":
         # product states on the controls and the target; in dirty mode the
@@ -179,22 +178,24 @@ def _spot(c, spec):
     cols = np.zeros((1 << nq, len(inputs)), dtype=complex)
     for i, (base, idx, psi) in enumerate(inputs):
         cols[base + idx, i] = psi
-    out, want = apply(lower(c), cols), apply_oracle(cols, n, spec.ws)
-    if spec.target != "mcx":
-        at = np.abs(want).argmax(axis=0), np.arange(len(inputs))
-        phase = np.exp(-1j * np.angle(out[at] / want[at]))
-        phase = np.where(np.abs(out[at]) > 1e-12, phase, 1)
-        # an exact circuit may differ from the oracle by one global phase,
-        # the firing input's, as in the sparse tier; an approximate one is
-        # checked column by column, each at its own phase
-        out = out * (phase if spec.epsilon is not None else phase[0])
-    tol = _TOL if spec.epsilon is None else spec.epsilon
-    d = np.abs(out - want).max(axis=0)
-    bad = np.flatnonzero(d > tol)
-    if bad.size:
-        return len(inputs), ["spot check distance %.3e (input %d)"
-                             % (d[bad[0]], bad[0])]
-    return len(inputs), []
+    return cols
+
+
+def _columns(c, spec, cols, tier):
+    """The columns through the lowered circuit and through the oracle.  An
+    approximate target's dense unitary is held to epsilon in spectral norm
+    at one phase; everything else takes the rule of :func:`_errors`."""
+    out, want = apply(lower(c), cols), apply_oracle(cols, spec.n, spec.ws)
+    k = cols.shape[1]
+    if tier == "dense" and spec.epsilon is not None:
+        d = spectral_distance(out, want)
+        return k, ["spectral error %.3e > epsilon %g" % (d, spec.epsilon)] \
+            if d > spec.epsilon else []
+    err, bad = _errors(out.ravel(), want.ravel(),
+                       np.tile(np.arange(k), len(cols)), k, spec.epsilon)
+    # one line, on the first failing input
+    return k, ["%s check distance %.3e (input %d)" % (tier, err[i], i)
+               for i in bad[:1]]
 
 
 def _patterns(k, rng):
@@ -246,13 +247,11 @@ def _sparse_inputs(spec, nq, rng):
 
 
 def _sparse(c, spec):
-    """Every input must come out as the oracle says: wires and phase.  The
-    phase is one for all inputs, aligned on the firing input.  Approximate
-    circuits instead bound each input's 2-norm error at its own best phase
-    by epsilon, which the spectral bound implies but does not follow from.
-    """
+    """Every input must come out as the oracle says, by the rule of
+    :func:`_errors`."""
     rng = np.random.default_rng(_SPOT_SEED)
     (bits, amp, owner), labels = _sparse_inputs(spec, c.num_qubits, rng)
+    k = len(labels)
     out = sparse_apply(c, bits, amp, owner)
     # the oracle: W_j on wire n + j of every row whose controls are all set
     fire = bits[:spec.n].all(axis=0)
@@ -265,24 +264,10 @@ def _sparse(c, spec):
     o = _sum_by(key[:len(out[1])], out[1], len(first))
     w = _sum_by(key[len(out[1]):], np.concatenate([amp[~fire], want[1]]),
                 len(first))
-    owner = rows[1][first]
-    overlap = _sum_by(owner, w.conj() * o)
-    approx = spec.epsilon is not None
-    if not approx:
-        overlap[:] = overlap[0]
-    diff = np.abs(o - np.exp(1j * np.angle(overlap))[owner] * w)
-    err = np.zeros(len(labels))
-    if approx:
-        err = np.sqrt(np.bincount(owner, diff ** 2))
-    else:
-        np.maximum.at(err, owner, diff)
-    bad = np.flatnonzero(err > (spec.epsilon if approx else _TOL))
-    if bad.size:
-        return len(labels), ["sparse check failed on %d of %d inputs; first:"
-                             " %s, distance %.3e" % (bad.size, len(labels),
-                                                     labels[bad[0]],
-                                                     err[bad[0]])]
-    return len(labels), []
+    err, bad = _errors(o, w, rows[1][first], k, spec.epsilon)
+    return k, ["sparse check failed on %d of %d inputs; first: %s, "
+               "distance %.3e" % (bad.size, k, labels[i], err[i])
+               for i in bad[:1]]
 
 
 def verify_circuit(c, spec) -> Verdict:
@@ -293,10 +278,14 @@ def verify_circuit(c, spec) -> Verdict:
     fails = []
     if got != want:
         fails.append("cnot count %d != %d" % (got, want))
-    if c.num_qubits <= UNITARY_CAP - 2:
-        tier, inputs, more = "dense", 1 << c.num_qubits, _dense(c, spec)
-    elif c.num_qubits <= SPOT_CAP:
-        tier, (inputs, more) = "spot", _spot(c, spec)
+    nq = c.num_qubits
+    if nq <= UNITARY_CAP - 2:
+        # every basis input the spec allows: a clean ancilla (top wire) is 0
+        cols = np.eye(1 << nq, 1 << (nq - (spec.ancilla == "clean")))
+        tier, (inputs, more) = "dense", _columns(c, spec, cols, "dense")
+    elif nq <= SPOT_CAP:
+        tier, (inputs, more) = "spot", _columns(
+            c, spec, _spot_inputs(spec, nq), "spot")
     else:
         tier, (inputs, more) = "sparse", _sparse(c, spec)
     note = ""

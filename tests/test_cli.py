@@ -83,6 +83,11 @@ def test_bad_invocations_exit_two(capsys):
             (sweep + ("--n-max", "4", "--m", "0"), "at least 1"),
             (sweep + ("--n-max", "4", "--m", "-3"), "at least 1"),
             (sweep + ("--n-max", "3", "--epsilon", "7"), "approx_u"),
+            (sweep + ("--n-max", "4", "--m", "3"), "mcmt_x and mcmt_su2"),
+            (("bench", "--family", "mcx_dirty", "--n-min", "3", "--n-max",
+              "4", "--m", "2"), "mcmt_x and mcmt_su2"),
+            (("bench", "--family", "approx_u", "--n-min", "10", "--n-max",
+              "10", "--m", "2"), "mcmt_x and mcmt_su2"),
             (sweep[:-1] + ("0", "--n-max", "4"), "at least 1"),
             (("synth", "mcmt-x", "--controls", "3", "--targets", "0"),
              "at least 1")):
@@ -180,7 +185,11 @@ def test_export_missing_file(capsys):
     '[[NaN, 0], [0, 0], [0, 0], [1, 0]]}]}',
     # nor Infinity, and no numpy warning may reach stderr
     '{"n": 1, "gates": [{"kind": "U2", "qubits": [0], "matrix": '
-    '[[Infinity, 0], [0, 0], [0, 0], [1, 0]]}]}'])
+    '[[Infinity, 0], [0, 0], [0, 0], [1, 0]]}]}',
+    # a bool is not a size; a size past the widest register synth emits
+    # (2 * 4096 + 1 qubits) is refused before any memory grows with it
+    '{"n": true, "gates": [{"kind": "X", "qubits": [false]}]}',
+    '{"n": 5000000, "gates": []}'])
 def test_export_malformed_json_is_usage_error(tmp_path, capsys, text):
     src = tmp_path / "bad.json"
     src.write_text(text)
@@ -189,6 +198,25 @@ def test_export_malformed_json_is_usage_error(tmp_path, capsys, text):
     assert err.startswith("error: matrix is not unitary" if "matrix" in text
                           else "error: circuit JSON needs an object")
     assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("qubit", ["false", "1.0", "1.5"])
+def test_export_refuses_a_qubit_that_is_not_an_integer(tmp_path, capsys,
+                                                       qubit):
+    src = tmp_path / "bad.json"
+    src.write_text('{"n": 2, "gates": [{"kind": "X", "qubits": [%s]}]}'
+                   % qubit)
+    code, out, err = invoke(capsys, "export", "--in", str(src))
+    assert (code, out) == (2, "")
+    assert err == "error: qubit index must be an integer, got %s\n" % (
+        {"false": "False"}.get(qubit, qubit))
+
+
+def test_export_takes_the_widest_register_synth_emits(tmp_path, capsys):
+    src = tmp_path / "wide.json"
+    src.write_text('{"n": 8193, "gates": [{"kind": "X", "qubits": [8192]}]}')
+    code, out, _ = invoke(capsys, "export", "--in", str(src))
+    assert code == 0 and "qubit[8193] q;" in out
 
 
 def test_parse_angle(capsys):

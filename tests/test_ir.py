@@ -22,6 +22,17 @@ def test_gate_arity_checked():
         Gate("X", (0, 1))
 
 
+def test_indices_and_sizes_are_integers():
+    # int() would truncate 1.7 and read True as 1
+    for q in (1.7, 1.0, True, "1", None):
+        with pytest.raises(ValueError, match="qubit index must be an integer"):
+            Gate("X", (q,))
+    for n in (2.5, True):
+        with pytest.raises(ValueError, match="register size must be an int"):
+            Circuit(n)
+    assert Gate("CX", (np.int64(0), 1)).qubits == (0, 1)
+
+
 def test_gate_qubits_distinct():
     with pytest.raises(ValueError):
         Gate("CX", (2, 2))
@@ -294,7 +305,11 @@ def test_json_keeps_ancilla_roles():
     '{"n": 2, "gates": {}}', '{"n": 2, "gates": [7]}',
     '{"n": 2, "gates": [{"kind": "X"}]}',
     '{"n": 2, "gates": [{"kind": "X", "qubits": 0}]}',
-    '{"n": 1, "gates": [], "ancilla_roles": "clean"}'])
+    '{"n": 1, "gates": [], "ancilla_roles": "clean"}',
+    '{"n": true, "gates": [{"kind": "X", "qubits": [false]}]}',
+    '{"n": 2, "gates": [{"kind": "X", "qubits": [false]}]}',
+    '{"n": 2, "gates": [{"kind": "X", "qubits": [1.5]}]}',
+    '{"n": 8194, "gates": []}'])
 def test_parse_json_rejects_bad_shapes(text):
     with pytest.raises(ValueError):
         parse_json(text)

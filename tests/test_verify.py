@@ -3,13 +3,13 @@ import pytest
 
 import qsynth.bench as bench
 import qsynth.cli as cli
-from qsynth.ir import Circuit, Gate
+from qsynth.ir import Circuit, Gate, lower
 from qsynth.mcx import McxSpec, mcx_log
 from qsynth.sim import apply, random_state
 from qsynth.su2 import mcmt_x
-from qsynth.verify import Spec, oracle_matrix, sparse_apply, verify_circuit
+from qsynth.verify import Spec, apply_oracle, sparse_apply, verify_circuit
 
-from conftest import X, mcmt_oracle, random_circuit, random_su2
+from conftest import H, X, mcmt_oracle, random_circuit, random_su2
 
 
 def test_oracle_matches_reference(rng):
@@ -20,7 +20,8 @@ def test_oracle_matches_reference(rng):
                for nq, n in ((4, 1), (5, 3), (6, 3), (7, 4))]
     for nq, n, ws in shapes:
         want = mcmt_oracle(nq, n, range(n, n + len(ws)), ws)
-        assert np.abs(oracle_matrix(nq, n, ws) - want).max() < 1e-15
+        got = apply_oracle(np.eye(1 << nq), n, ws)
+        assert np.abs(got - want).max() < 1e-15
 
 
 @pytest.mark.parametrize("nq", [3, 5, 8])
@@ -112,9 +113,8 @@ def test_verify_names_its_tier(capsys, argv, tier):
 @pytest.mark.parametrize("target, n", [("mcmt-su2", 10), ("mcmt-x", 9)])
 def test_spot_tier_sees_a_phase_that_depends_on_the_controls(target, n):
     # Rz on control 0 keeps the CX count and maps each basis pattern of the
-    # controls to itself up to a phase, but that phase moves with control 0:
-    # the exact targets share one phase over all inputs, so input 1 (control
-    # 0 clear) fails against the firing input's phase
+    # controls to itself up to a phase, which moves with control 0: the
+    # exact targets get no phase freedom, so the firing input 0 fails first
     c, spec = bench.build(target, n, 2)
     bad = Circuit(c.num_qubits, c.gates + (Gate("Rz", (0,), angle=0.3),),
                   c.ancilla_roles)
@@ -122,7 +122,7 @@ def test_spot_tier_sees_a_phase_that_depends_on_the_controls(target, n):
     v = verify_circuit(bad, spec)
     assert (v.tier, v.inputs, len(v.fails)) == ("spot", 6, 1)
     assert v.fails[0].startswith("spot check distance")
-    assert v.fails[0].endswith("(input 1)")
+    assert v.fails[0].endswith("(input 0)")
 
 
 def test_approx_spot_verdict_says_it_checks_columns(capsys):
@@ -131,3 +131,48 @@ def test_approx_spot_verdict_says_it_checks_columns(capsys):
     assert capsys.readouterr().err == (
         "verify approx-u: ok tier=spot inputs=6; the per-column epsilon "
         "check is necessary, not sufficient, for the spectral bound\n")
+
+
+# an exact target gets no phase freedom: a global phase e^{0.3i} appended on
+# wire 0 must FAIL in every tier (dense, spot, sparse by register size)
+@pytest.mark.parametrize("target, n, ancilla, tier", [
+    ("mcx", 6, "clean", "dense"), ("mcx", 6, "dirty", "dense"),
+    ("mcx", 12, "clean", "spot"), ("mcx", 12, "dirty", "spot"),
+    ("mcx", 20, "clean", "sparse"), ("mcx", 20, "dirty", "sparse"),
+    ("mcmt-x", 5, "clean", "dense"), ("mcmt-x", 10, "clean", "spot"),
+    ("mcmt-x", 17, "clean", "sparse"), ("mcmt-su2", 6, "none", "dense"),
+    ("mcmt-su2", 10, "none", "spot"), ("mcmt-su2", 17, "none", "sparse"),
+])
+def test_a_global_phase_fails_every_tier(target, n, ancilla, tier):
+    c, spec = bench.build(target, n, 2, ancilla)
+    phase = ((np.exp(0.3j), 0), (0, np.exp(0.3j)))
+    bad = Circuit(c.num_qubits, c.gates + (Gate("U2", (0,), matrix=phase),),
+                  c.ancilla_roles)
+    assert verify_circuit(c, spec).fails == ()
+    v = verify_circuit(bad, spec)
+    assert (v.tier, len(v.fails)) == (tier, 1), v.lines()
+    assert v.fails[0].startswith(tier + " check")
+
+
+def _exact_on_the_dense_range():
+    gates = [random_su2(np.random.default_rng(7)), H, -np.eye(2), X,
+             np.diag([np.exp(-0.4j), np.exp(0.4j)])]
+    for n in range(1, 10):
+        yield "mcx", n, 1, "clean", None
+        yield "mcx", n, 1, "dirty", None
+        if n <= 8:
+            yield "mcmt-x", n, min(1 + n % 3, 10 - n), "clean", None
+        yield "mcmt-su2", n, min(1 + n % 3, 11 - n), "none", gates[n % 5]
+
+
+@pytest.mark.parametrize("target, n, m, ancilla, gate",
+                         list(_exact_on_the_dense_range()))
+def test_exact_targets_equal_their_oracle_with_no_phase(target, n, m,
+                                                        ancilla, gate):
+    # every basis input the spec allows: a clean ancilla (the top wire)
+    # starts at 0, a dirty one in either value
+    c, spec = bench.build(target, n, m, ancilla, gate)
+    nq = c.num_qubits
+    cols = np.eye(1 << nq)[:, :1 << (nq - (ancilla == "clean"))]
+    want = apply_oracle(cols, n, spec.ws)
+    assert np.abs(apply(lower(c), cols) - want).max() < 1e-12
