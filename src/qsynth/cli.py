@@ -14,8 +14,8 @@ import sys
 
 from .bench import (COUNT_ONLY_MAX_N, FAMILIES, FAMILY_TARGET, TARGETS,
                     build, run_family, to_csv)
-from .ir import (check_unitary, export_text, fixed_matrix, parse_json,
-                 report_for, rx_mat, ry_mat, rz_mat)
+from .ir import (check_unitary, export_text, fixed_matrix, json_number,
+                 parse_json, report_for, rx_mat, ry_mat, rz_mat)
 
 
 class UsageError(argparse.ArgumentTypeError):
@@ -64,7 +64,8 @@ def parse_angle(expr):
 
 def _entry(x, pair):
     re, im = x if pair else (x, 0)
-    return complex(float(re), float(im))
+    return complex(json_number(re, "gate matrix entry"),
+                   json_number(im, "gate matrix entry"))
 
 
 def _matrix_from_json(data):
@@ -75,7 +76,7 @@ def _matrix_from_json(data):
         rows = (data[:2], data[2:]) if len(data) == 4 else data
         (a, b), (c, d) = [[_entry(x, pair) for x in row] for row in rows]
     except (TypeError, ValueError, KeyError, IndexError):
-        raise UsageError("gate matrix must be 2x2") from None
+        raise UsageError("gate matrix must be 2x2, of numbers") from None
     try:
         return check_unitary(((a, b), (c, d)), 1e-10)
     except ValueError:

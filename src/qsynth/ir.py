@@ -114,6 +114,13 @@ def check_unitary(m, tol=_UNITARITY_TOL):
     return m
 
 
+def json_number(x, what):
+    """``x`` if it is a JSON number; else ValueError, for a boolean too."""
+    if type(x) not in (int, float):
+        raise ValueError("%s must be a number, got %r" % (what, x))
+    return x
+
+
 def _index(i, what):
     """``i`` as an int: ValueError for a bool or a non-integer, which
     ``int`` would truncate."""
@@ -537,11 +544,12 @@ def parse_json(text: str) -> Circuit:
         for d in doc["gates"]:
             params, matrix = d.get("params"), None
             if "matrix" in d:
-                flat = [complex(re, im) for re, im in d["matrix"]]
+                flat = [complex(json_number(re, "matrix entry"),
+                                json_number(im, "matrix entry"))
+                        for re, im in d["matrix"]]
                 matrix = flat[:2], flat[2:]
-            gates.append(Gate(d["kind"], d["qubits"],
-                              angle=params[0] if params else None,
-                              matrix=matrix))
+            angle = json_number(params[0], "angle") if params else None
+            gates.append(Gate(d["kind"], d["qubits"], angle, matrix))
         return Circuit(doc["n"], gates, doc.get("ancilla_roles"))
     except (TypeError, KeyError, IndexError, AttributeError) as e:
         raise ValueError("bad gate or role in circuit JSON: %s: %s"

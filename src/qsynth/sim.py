@@ -4,11 +4,11 @@ Everything here uses the global little-endian convention: the bit of qubit
 ``q`` in a basis-state index ``i`` is ``(i >> q) & 1``.  ``unitary_of`` is
 capped at 13 qubits (dimension 8192), ``apply`` at 22 qubits.
 
-Both walk the circuit once and fuse each run of consecutive gates that
-touches at most ``FUSE_WIDTH`` distinct qubits into one block (Haner &
-Steiger, arXiv:1704.01127).  A block's 2^k x 2^k matrix is built by the same
-small-tensor contraction on a 2^k identity, and then each block, not each
-gate, makes one pass over the big tensor.
+Both fuse each run of consecutive gates that touches at most ``FUSE_WIDTH``
+distinct qubits into one block (Haner & Steiger, arXiv:1704.01127).  A
+block's 2^k x 2^k matrix is built by the same small-tensor contraction on a
+2^k identity, and then each block, not each gate, makes one pass over the
+big tensor.  The last circuit's blocks are kept for its next stack.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .ir import (FIXED_KINDS, MATRIX_KINDS, Circuit, Gate, fixed_matrix,
 UNITARY_CAP = 13
 APPLY_CAP = 22
 FUSE_WIDTH = 5         # widest fused block; of 3 to 6, fastest on verify
+_POWER_SEED = 20240811
 _ROTATIONS = {"Rx": rx_mat, "Ry": ry_mat, "Rz": rz_mat}
 
 
@@ -86,27 +87,18 @@ def _block(gates, wires):
     return wires, t.reshape(1 << k, 1 << k)
 
 
-def _fuse(gates):
+@lru_cache(maxsize=1)
+def _fused(circuit):
     """Greedy blocks of consecutive gates on at most FUSE_WIDTH qubits."""
-    run, wires = [], []
-    for g in gates:
+    blocks, run, wires = [], [], []
+    for g in circuit.gates:
         grown = wires + [q for q in g.qubits if q not in wires]
         if len(grown) > FUSE_WIDTH:
-            yield _block(run, wires)
+            blocks.append(_block(run, wires))
             run, grown = [], list(g.qubits)
         run.append(g)
         wires = grown
-    if run:
-        yield _block(run, wires)
-
-
-def _apply_tensor(tensor, circuit):
-    """Apply circuit gates to an array shaped [2]*n (+ trailing axes)."""
-    n = circuit.num_qubits
-    for qubits, m in _fuse(circuit.gates):
-        # axis for qubit q is n-1-q (little-endian)
-        tensor = _contract(tensor, m, [n - 1 - q for q in qubits])
-    return tensor
+    return tuple(blocks + [_block(run, wires)] if run else blocks)
 
 
 def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
@@ -119,7 +111,10 @@ def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
     if state.ndim not in (1, 2) or state.shape[0] != 2 ** n:
         raise ValueError("state dimension mismatch")
-    t = _apply_tensor(state.reshape((2,) * n + state.shape[1:]), circuit)
+    t = state.reshape((2,) * n + state.shape[1:])
+    for qubits, m in _fused(circuit):
+        # axis for qubit q is n-1-q (little-endian)
+        t = _contract(t, m, [n - 1 - q for q in qubits])
     return t.reshape(state.shape)
 
 
@@ -129,10 +124,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     if n > UNITARY_CAP:
         raise ValueError("unitary_of capped at %d qubits, got %d"
                          % (UNITARY_CAP, n))
-    dim = 2 ** n
-    t = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    t = _apply_tensor(t, circuit)
-    return t.reshape(dim, dim)
+    return apply(circuit, np.eye(2 ** n, dtype=complex))
 
 
 class EquivResult(namedtuple("EquivResult", "distance passed mode")):
@@ -143,11 +135,10 @@ class EquivResult(namedtuple("EquivResult", "distance passed mode")):
         return self.passed
 
 
-def _global_phase_dist(A, B):
+def _aligned(A, B):
+    """A - e^{i phi} B, with phi the phase of the largest entry of B^dag A."""
     D = B.conj().T @ A
-    k = np.unravel_index(np.abs(D).argmax(), D.shape)
-    phi = cmath.phase(D[k])
-    return float(np.abs(A - cmath.exp(1j * phi) * B).max())
+    return A - cmath.exp(1j * cmath.phase(D.flat[np.abs(D).argmax()])) * B
 
 
 def _split_ancilla(M, n, ancillas):
@@ -158,13 +149,9 @@ def _split_ancilla(M, n, ancillas):
     anc = sorted(ancillas)
     rest = [q for q in range(n) if q not in anc]
     dim_a, dim_r = 2 ** len(anc), 2 ** len(rest)
-    T = M.reshape((2,) * n + (2,) * n)
     # output axes: qubit q -> axis n-1-q; input axes shifted by n
-    out_a = [n - 1 - q for q in anc]
-    out_r = [n - 1 - q for q in rest]
-    in_a = [2 * n - 1 - q for q in anc]
-    in_r = [2 * n - 1 - q for q in rest]
-    T = np.transpose(T, out_a + out_r + in_a + in_r)
+    axes = [n - 1 - q for q in anc + rest]
+    T = np.transpose(M.reshape((2,) * 2 * n), axes + [n + a for a in axes])
     return T.reshape(dim_a, dim_r, dim_a, dim_r).transpose(0, 2, 1, 3)
 
 
@@ -177,43 +164,32 @@ def equiv(A, B, mode, tol=1e-9, ancillas=()) -> EquivResult:
     (A equals B' tensor identity over the listed ancillae, up to global
     phase).  Returns distance and verdict.
     """
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
+    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise ValueError("dimension mismatch")
     n = int(round(math.log2(A.shape[0])))
     if 2 ** n != A.shape[0]:
         raise ValueError("dimension is not a power of two")
 
+    if mode in ("clean_subspace", "tensor_identity") and not ancillas:
+        raise ValueError("%s needs ancilla indices" % mode)
     if mode == "exact":
         d = float(np.abs(A - B).max())
-        return EquivResult(d, d <= tol, mode)
-
-    if mode == "global_phase":
-        d = _global_phase_dist(A, B)
-        return EquivResult(d, d <= tol, mode)
-
-    if mode == "diagonal":
+    elif mode == "global_phase":
+        d = float(np.abs(_aligned(A, B)).max())
+    elif mode == "diagonal":
         D = B.conj().T @ A
         off = D - np.diag(np.diag(D))
         d = max(float(np.abs(off).max()),
                 float(np.abs(np.abs(np.diag(D)) - 1).max()))
-        return EquivResult(d, d <= tol, mode)
-
-    if mode == "clean_subspace":
-        if not ancillas:
-            raise ValueError("clean_subspace needs ancilla indices")
+    elif mode == "clean_subspace":
         BA = _split_ancilla(A, n, ancillas)
         BB = _split_ancilla(B, n, ancillas)
         # columns with ancillae |0> must come back with ancillae |0> ...
         leak = float(np.abs(BA[1:, 0]).max()) if BA.shape[0] > 1 else 0.0
         # ... and the restricted blocks must agree
         d = max(leak, float(np.abs(BA[0, 0] - BB[0, 0]).max()))
-        return EquivResult(d, d <= tol, mode)
-
-    if mode == "tensor_identity":
-        if not ancillas:
-            raise ValueError("tensor_identity needs ancilla indices")
+    elif mode == "tensor_identity":
         BA = _split_ancilla(A, n, ancillas)
         da = BA.shape[0]
         offdiag = 0.0
@@ -226,21 +202,26 @@ def equiv(A, B, mode, tol=1e-9, ancillas=()) -> EquivResult:
         same = max(float(np.abs(BA[a, a] - block).max())
                    for a in range(da))
         BB = _split_ancilla(B, n, ancillas)[0, 0]
-        d = max(offdiag, same, _global_phase_dist(block, BB))
-        return EquivResult(d, d <= tol, mode)
+        d = max(offdiag, same, float(np.abs(_aligned(block, BB)).max()))
+    else:
+        raise ValueError("unknown mode %r" % (mode,))
+    return EquivResult(d, d <= tol, mode)
 
-    raise ValueError("unknown mode %r" % (mode,))
 
-
-def _largest_singular_value(D):
+def spectral_norm(D):
+    """Largest singular value of the square matrix D."""
     if D.shape[0] <= 256:
         return float(np.linalg.norm(D, 2))
     # matrix-free power iteration on D^dag D; a full SVD at dimension 4096
-    # costs minutes while two matvecs per step cost milliseconds
-    v = np.full(D.shape[0], 1.0 / math.sqrt(D.shape[0]), dtype=complex)
+    # costs minutes while two matvecs per step cost milliseconds.  A seeded
+    # random start: a fixed vector can be orthogonal to the whole error
+    rng = np.random.default_rng(_POWER_SEED)
+    v = (1, 1j) @ rng.normal(size=(2, D.shape[0]))
+    v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(500):
-        w = D.conj().T @ (D @ v)
+        # D^dag u = conj(conj(u) D), which copies no matrix
+        w = ((D @ v).conj() @ D).conj()
         nrm = float(np.linalg.norm(w))
         if nrm == 0.0:
             return 0.0
@@ -254,22 +235,11 @@ def _largest_singular_value(D):
 
 def spectral_distance(A, B) -> float:
     """Largest singular value of A - e^{i phi} B after phase alignment."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    D = B.conj().T @ A
-    k = np.unravel_index(np.abs(D).argmax(), D.shape)
-    phi = cmath.phase(D[k])
-    return _largest_singular_value(A - cmath.exp(1j * phi) * B)
+    return spectral_norm(_aligned(np.asarray(A, dtype=complex),
+                                  np.asarray(B, dtype=complex)))
 
 
-def random_state(n, rng, product=False):
-    """Haar-ish random statevector; product=True gives a product state."""
-    if product:
-        amps = np.array([1.0], dtype=complex)
-        for _ in range(n):
-            v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            v /= np.linalg.norm(v)
-            amps = np.kron(v, amps)
-        return amps
+def random_state(n, rng):
+    """Haar-ish random statevector."""
     v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return v / np.linalg.norm(v)

@@ -5,13 +5,13 @@ controls on wires [0, n), W_j on wire n + j and at most one ancilla after
 them.  It checks the CX count against :data:`CNOT_TABLE`, then runs the
 tier the register size selects:
 
-- dense (at most 11 qubits): every basis input the spec allows, as one
-  stack of columns through the lowered circuit;
-- spot (12 to 18 qubits): seeded statevectors, as one stack;
-- sparse (more than 18 qubits): near-firing inputs through a basis-index ->
-  amplitude simulator (Jaques & Haner, arXiv:2105.01533), vectorised over
-  the inputs.  It runs the macro gates with the dense simulator's own
-  matrices; that lowering preserves them is tested on its own.
+- dense (at most 11 qubits): every basis input the spec allows, as columns
+  of the identity through the lowered circuit, _AMPS amplitudes at a time;
+- sparse (12 qubits and up): near-firing inputs through a basis-index ->
+  amplitude simulator (Jaques & Haner, arXiv:2105.01533) on int64 keys,
+  vectorised over the inputs.  It runs the macro gates with the dense
+  simulator's own matrices; that lowering preserves them is tested on its
+  own.
 
 Every tier holds each input to the one rule of :func:`_errors`, except
 that an approximate target's dense unitary is held to its spectral bound.
@@ -19,20 +19,21 @@ that an approximate target's dense unitary is held to its spectral bound.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 
 from ._np import np
 from .bench import Spec  # re-exported: the spec verify_circuit checks
-from .ir import cnot_count, lower
-from .sim import (UNITARY_CAP, apply, gate_matrix, random_state,
-                  spectral_distance)
+from .ir import Circuit, Gate, adjoint, cnot_count, lower
+from .sim import apply, gate_matrix, random_state, spectral_norm
 
-SPOT_CAP = 18          # statevector spot checks beyond the dense cap
-_SPOT_SEED = 20240811
+DENSE_CAP = 11         # largest register of the dense tier
+_AMPS = 1 << 17        # amplitudes per dense stack: 128 columns at 10 qubits
+_SEED = 20240811
 _TOL = 1e-9            # largest entry error of an exact target, every tier
 _TINY = 1e-12          # amplitudes dropped after a gate spreads the rows
-MAX_ROWS = 1 << 21     # sparse rows held at once: about 100 MB at 20 qubits
+MAX_ROWS = 1 << 21     # sparse rows held at once: 48 MB with one key word
+_WORD = 63             # key bits per int64 word; the sign bit stays clear
 _ALL_PAIRS = 64        # up to this many controls, every pair is cleared
 
 
@@ -63,39 +64,48 @@ class Verdict(namedtuple("Verdict", "tier inputs fails note",
 
 def apply_oracle(states, n, ws):
     """C^n(W_1 x ... x W_m) applied in one pass of index arithmetic to
-    ``states``, shaped (2^nq, ...) with one little-endian basis index per
-    row; the identity gives the oracle's matrix."""
+    ``states`` (in place if complex), shaped (2^nq, ...) with one basis
+    index per row; the identity gives the oracle's matrix."""
     m, nq = len(ws), states.shape[0].bit_length() - 1
     W = reduce(np.kron, ws[::-1])      # wire n + m - 1 most significant
     # firing rows: one group per value of the wires above the targets
     fire = (np.arange(1 << (nq - n - m)) << (n + m)) + ((1 << n) - 1)
     idx = fire[:, None] + (np.arange(1 << m) << n)
-    out = np.array(states, dtype=complex)
+    out = np.asarray(states, dtype=complex)
     out[idx] = np.einsum("st,rt...->rs...", W, out[idx])
     return out
 
 
 # ---------------------------------------------------------------------------
-# sparse states: a (wires, rows) bool array of basis bits, one amplitude per
-# row, and the number of the input each row belongs to
+# sparse states: int64 keys per row, wire q at bit q % 63 of word q // 63 and
+# the number of the row's input above the wires, in one word; one amplitude
 
 def _sum_by(key, values, size=0):
     return (np.bincount(key, values.real, size)
             + 1j * np.bincount(key, values.imag, size))
 
 
-def _group(bits, owner):
-    """First row of each distinct (owner, bits) key, and each row's key."""
-    packed = np.packbits(bits, axis=0)
-    packed = np.pad(packed, ((0, -len(packed) % 8), (0, 0)))
-    words = np.ascontiguousarray(packed.T).view(np.uint64)
-    order = np.lexsort(list(words.T) + [owner])
-    words, owner = words[order], owner[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (owner[1:] != owner[:-1]) | (words[1:] != words[:-1]).any(1)
-    key = np.empty(len(order), dtype=np.intp)
-    key[order] = np.cumsum(new) - 1
-    return order[new], key
+def _pack(bits, owner):
+    """Keys of rows given as a (wires, rows) bit array and input numbers,
+    and the key bit where the input number starts."""
+    nq = len(bits)
+    at = nq if nq % _WORD + int(owner.max(initial=0)).bit_length() <= _WORD \
+        else -(-nq // _WORD) * _WORD
+    keys = np.zeros((at // _WORD + 1, len(owner)), dtype=np.int64)
+    for q, b in enumerate(bits):
+        keys[q // _WORD] |= np.asarray(b, dtype=np.int64) << (q % _WORD)
+    keys[-1] |= np.asarray(owner, dtype=np.int64) << (at % _WORD)
+    return keys, at
+
+
+def _merge(keys, *vals):
+    """The distinct keys in sorted order, and each of ``vals`` summed over
+    the rows of each key."""
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    new = np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)][:len(order)]
+    group = np.cumsum(new) - 1
+    return (keys[:, new],) + tuple(_sum_by(group, v[order]) for v in vals)
 
 
 def _check_rows(rows):
@@ -104,40 +114,71 @@ def _check_rows(rows):
                          % MAX_ROWS)
 
 
-def _apply_matrix(M, qubits, bits, amp, owner):
-    """One gate matrix (first operand most significant) on sparse states.
-    Each row spreads over the nonzero entries of its column; equal rows
-    then merge.  A phased permutation keeps the rows and rewrites ``bits``
-    in place."""
-    k = len(qubits)
-    local = np.zeros(len(amp), dtype=np.intp)
+@lru_cache(maxsize=4096)
+def _action(g):
+    """Tables for gate ``g``, a 2x2 matrix on its target (last operand) for
+    each local value of the others: the target's key word and bit; for a
+    phased permutation, the target flip and phase of each local input (None
+    for none), else the diagonal, the entry each input takes from its
+    partner (the target flipped) and which inputs mix."""
+    M, k = gate_matrix(g), len(g.qubits)
+    frm, to = np.nonzero(np.abs(M.T) > _TINY)
+    if ((frm ^ to) > 1).any():
+        raise ValueError("no sparse action for %r" % (g,))
+    i, (w, t) = np.arange(1 << k), divmod(g.qubits[-1], _WORD)
+    if len(frm) == 1 << k:
+        coef = M[to, frm]
+        return (g.qubits, w, 1 << t, (frm ^ to) << t if (frm != to).any()
+                else None, None if (coef == 1).all() else coef, None)
+    return g.qubits, w, 1 << t, None, None, (M[i, i], M[i, i ^ 1],
+                                             np.abs(M[i, i ^ 1]) > _TINY)
+
+
+def _gate(keys, amp, ordered, qubits, w, bit, flip, coef, spread):
+    """One gate on rows sorted by key if ``ordered``; returns the new (keys,
+    amp, ordered).  A phased permutation rewrites keys and phases in place.
+    Any other gate mixes each row with its partner: in sorted rows whose
+    partners all exist, the j-th mixing row with target 0 pairs with the
+    j-th with target 1.  Missing partners join by one sort."""
+    if spread is not None and not ordered:
+        keys, amp = _merge(keys, amp)
+    local = 0
     for q in qubits:
-        local = (local << 1) | bits[q]
-    rows, to = np.nonzero((np.abs(M) > _TINY).T[local])
-    spread = len(rows) > len(amp)
-    if not spread:
-        rows = slice(None)
-    amp, bits, owner = amp[rows] * M[to, local[rows]], bits[:, rows], \
-        owner[rows]
-    for i, q in enumerate(qubits):
-        bits[q] = (to >> (k - 1 - i)) & 1
-    if not spread:
-        return bits, amp, owner
-    first, key = _group(bits, owner)
-    amp = _sum_by(key, amp)
-    keep = np.abs(amp) > _TINY
-    first = first[keep]
-    _check_rows(len(first))
-    return bits[:, first], amp[keep], owner[first]
+        local = (local << 1) | ((keys[q // _WORD] >> (q % _WORD)) & 1)
+    if spread is None:
+        if flip is not None:
+            keys[w] ^= flip[local]
+        amp = amp if coef is None else amp * coef[local]
+        return keys, amp, ordered and flip is None
+    diag, off, mix = spread
+    lo, hi = (np.flatnonzero(mix[local] & (local & 1 == b)) for b in (0, 1))
+    part = keys[:, lo]
+    part[w] |= bit
+    if len(lo) != len(hi) or (part != keys[:, hi]).any():
+        part = keys[:, mix[local]]
+        part[w] ^= bit
+        keys, amp = _merge(np.hstack([keys, part]),
+                           np.concatenate([amp, np.zeros(part.shape[1])]))
+        return _gate(keys, amp, True, qubits, w, bit, flip, coef, spread)
+    new = amp * diag[local]
+    new[lo] += off[local[lo]] * amp[hi]
+    new[hi] += off[local[hi]] * amp[lo]
+    keep = np.abs(new) > _TINY
+    if not keep.all():
+        keys, new = keys[:, keep], new[keep]
+    _check_rows(len(new))
+    return keys, new, True
 
 
 def sparse_apply(circuit, bits, amp, owner):
-    """Run ``circuit`` on sparse states; returns new (bits, amp, owner)."""
-    bits = np.array(bits, dtype=bool)
+    """Run ``circuit`` on sparse states given, and returned, as a (wires,
+    rows) bit array, one amplitude and one input number per row."""
+    (keys, at), ordered = _pack(bits, owner), False
     for g in circuit.gates:
-        bits, amp, owner = _apply_matrix(gate_matrix(g), g.qubits, bits,
-                                         amp, owner)
-    return bits, amp, owner
+        keys, amp, ordered = _gate(keys, amp, ordered, *_action(g))
+    bits = [(keys[q // _WORD] >> q % _WORD & 1).astype(bool)
+            for q in range(len(bits))]
+    return np.array(bits), amp, keys[-1] >> (at % _WORD)
 
 
 # ---------------------------------------------------------------------------
@@ -159,43 +200,33 @@ def _errors(o, w, owner, k, epsilon):
     return err, np.flatnonzero(err > epsilon)
 
 
-def _spot_inputs(spec, nq):
-    """Seeded statevectors, one per column."""
-    n, m = spec.n, len(spec.ws)
-    rng = np.random.default_rng(_SPOT_SEED)
-    if spec.target == "mcx":
-        # product states on the controls and the target; in dirty mode the
-        # ancilla takes a random basis value
-        psis = [random_state(n + 1, rng, product=True) for _ in range(8)]
-        inputs = [((int(rng.integers(2)) if spec.ancilla == "dirty" else 0)
-                   << (n + 1), np.arange(1 << (n + 1)), psi) for psi in psis]
-    else:
-        # basis-valued controls and a random target state
-        inputs = [(pat, np.arange(1 << m) << n, random_state(m, rng))
-                  for pat in [(1 << n) - 1] + [
-                      int(rng.integers(1 << n) & ((1 << n) - 2))
-                      for _ in range(5)]]
-    cols = np.zeros((1 << nq, len(inputs)), dtype=complex)
-    for i, (base, idx, psi) in enumerate(inputs):
-        cols[base + idx, i] = psi
-    return cols
-
-
-def _columns(c, spec, cols, tier):
-    """The columns through the lowered circuit and through the oracle.  An
-    approximate target's dense unitary is held to epsilon in spectral norm
-    at one phase; everything else takes the rule of :func:`_errors`."""
-    out, want = apply(lower(c), cols), apply_oracle(cols, spec.n, spec.ws)
-    k = cols.shape[1]
-    if tier == "dense" and spec.epsilon is not None:
-        d = spectral_distance(out, want)
+def _dense(c, spec):
+    """Every basis input the spec allows (a clean ancilla, the top wire, is
+    0), as identity columns through the lowered circuit, _AMPS amplitudes at
+    a time, each held to the rule of :func:`_errors`; for an approximate
+    target, D = O^dag U formed in place, whose D - e^{i phi} I has the
+    spectral norm of U - e^{i phi} O, since O is unitary, held to epsilon."""
+    low, nq, n = lower(c), c.num_qubits, spec.n
+    dim, k = 1 << nq, 1 << (nq - (spec.ancilla == "clean"))
+    step = max(1, _AMPS >> nq)
+    if spec.epsilon is not None:
+        D = np.empty((dim, k), dtype=complex)
+        for j in range(0, k, step):
+            D[:, j:j + step] = apply(low, np.eye(dim, min(step, k - j), -j))
+        D = apply_oracle(D, n, [adjoint(W) for W in spec.ws])
+        D.flat[::k + 1] -= np.exp(1j * np.angle(D.flat[np.abs(D).argmax()]))
+        d = spectral_norm(D)
         return k, ["spectral error %.3e > epsilon %g" % (d, spec.epsilon)] \
             if d > spec.epsilon else []
-    err, bad = _errors(out.ravel(), want.ravel(),
-                       np.tile(np.arange(k), len(cols)), k, spec.epsilon)
-    # one line, on the first failing input
-    return k, ["%s check distance %.3e (input %d)" % (tier, err[i], i)
-               for i in bad[:1]]
+    for j in range(0, k, step):
+        cols = np.eye(dim, min(step, k - j), -j)
+        out, want = apply(low, cols), apply_oracle(cols, n, spec.ws)
+        err, bad = _errors(out.ravel(), want.ravel(), np.tile(
+            np.arange(cols.shape[1]), dim), cols.shape[1], None)
+        if bad.size:   # one line, on the first failing input
+            return k, ["dense check distance %.3e (input %d)"
+                       % (err[bad[0]], j + bad[0])]
+    return k, []
 
 
 def _patterns(k, rng):
@@ -249,22 +280,20 @@ def _sparse_inputs(spec, nq, rng):
 def _sparse(c, spec):
     """Every input must come out as the oracle says, by the rule of
     :func:`_errors`."""
-    rng = np.random.default_rng(_SPOT_SEED)
+    n, rng = spec.n, np.random.default_rng(_SEED)
     (bits, amp, owner), labels = _sparse_inputs(spec, c.num_qubits, rng)
-    k = len(labels)
-    out = sparse_apply(c, bits, amp, owner)
+    k, fire = len(labels), bits[:n].all(axis=0)
     # the oracle: W_j on wire n + j of every row whose controls are all set
-    fire = bits[:spec.n].all(axis=0)
-    want = bits[:, fire], amp[fire], owner[fire]
-    for j, W in enumerate(spec.ws):
-        want = _apply_matrix(np.asarray(W), (spec.n + j,), *want)
-    rows = (np.hstack([out[0], bits[:, ~fire], want[0]]),
-            np.concatenate([out[2], owner[~fire], want[2]]))
-    first, key = _group(*rows)
-    o = _sum_by(key[:len(out[1])], out[1], len(first))
-    w = _sum_by(key[len(out[1]):], np.concatenate([amp[~fire], want[1]]),
-                len(first))
-    err, bad = _errors(o, w, rows[1][first], k, spec.epsilon)
+    want = sparse_apply(Circuit(c.num_qubits, [
+        Gate("U2", (n + j,), matrix=W) for j, W in enumerate(spec.ws)]),
+        bits[:, fire], amp[fire], owner[fire])
+    out = sparse_apply(c, bits, amp, owner)
+    rest = np.concatenate([amp[~fire], want[1]])
+    keys, at = _pack(np.hstack([out[0], bits[:, ~fire], want[0]]),
+                     np.concatenate([out[2], owner[~fire], want[2]]))
+    keys, o, w = _merge(keys, np.concatenate([out[1], 0 * rest]),
+                        np.concatenate([0 * out[1], rest]))
+    err, bad = _errors(o, w, keys[-1] >> (at % _WORD), k, spec.epsilon)
     return k, ["sparse check failed on %d of %d inputs; first: %s, "
                "distance %.3e" % (bad.size, k, labels[i], err[i])
                for i in bad[:1]]
@@ -278,16 +307,8 @@ def verify_circuit(c, spec) -> Verdict:
     fails = []
     if got != want:
         fails.append("cnot count %d != %d" % (got, want))
-    nq = c.num_qubits
-    if nq <= UNITARY_CAP - 2:
-        # every basis input the spec allows: a clean ancilla (top wire) is 0
-        cols = np.eye(1 << nq, 1 << (nq - (spec.ancilla == "clean")))
-        tier, (inputs, more) = "dense", _columns(c, spec, cols, "dense")
-    elif nq <= SPOT_CAP:
-        tier, (inputs, more) = "spot", _columns(
-            c, spec, _spot_inputs(spec, nq), "spot")
-    else:
-        tier, (inputs, more) = "sparse", _sparse(c, spec)
+    tier = "dense" if c.num_qubits <= DENSE_CAP else "sparse"
+    inputs, more = (_dense if tier == "dense" else _sparse)(c, spec)
     note = ""
     if spec.epsilon is not None and tier != "dense":
         note = ("; the per-column epsilon check is necessary, "

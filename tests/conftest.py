@@ -40,6 +40,15 @@ def random_su2(rng):
                      [q[2] - 1j * q[1], q[0] + 1j * q[3]]], dtype=complex)
 
 
+def product_state(n, rng):
+    """A random product state of n qubits, qubit 0 least significant."""
+    amps = np.array([1.0], dtype=complex)
+    for _ in range(n):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        amps = np.kron(v / np.linalg.norm(v), amps)
+    return amps
+
+
 def random_circuit(nq, rng, copies=4):
     """Every gate kind that fits on nq wires, ``copies`` times, on random
     wires in random order."""

@@ -125,11 +125,11 @@ def test_approx_eps_005_n12_count_only():
 
 
 def test_approx_eps_005_n12_spot_check():
-    # the 13-qubit point above, through the spot tier's seeded states
+    # the 13-qubit point above, through the sparse tier's structured inputs
     c, params = approx_mcu(12, X, 0.05)
     v = verify_circuit(c, Spec("approx-u", 12, (X,), epsilon=0.05,
                                n_b=params.n_b))
-    assert (v.tier, v.inputs, v.fails) == ("spot", 6, ()), v
+    assert (v.tier, v.inputs, v.fails) == ("sparse", 32, ()), v
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ def test_error_shrinks_with_larger_nb():
 
 @pytest.mark.parametrize("gate", ["rz(2*pi)", "[[-1, 0], [0, -1]]"])
 @pytest.mark.parametrize("n, epsilon, n_b, cnot, tier", [
-    (9, 0.5, 4, 176, "dense"), (11, 0.1, 6, 280, "spot")])
+    (9, 0.5, 4, 176, "dense"), (11, 0.1, 6, 280, "sparse")])
 def test_su2_part_minus_identity(capsys, gate, n, epsilon, n_b, cnot, tier):
     # theta = 2 pi, the top of its range: the SU(2) part is -I
     c, params = approx_mcu(n, parse_gate_spec(gate), epsilon)

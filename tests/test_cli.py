@@ -90,7 +90,9 @@ def test_bad_invocations_exit_two(capsys):
               "10", "--m", "2"), "mcmt_x and mcmt_su2"),
             (sweep[:-1] + ("0", "--n-max", "4"), "at least 1"),
             (("synth", "mcmt-x", "--controls", "3", "--targets", "0"),
-             "at least 1")):
+             "at least 1"),
+            (("synth", "mcmt-su2", "--controls", "2", "--targets", "1",
+              "--gate", "[[true, false], [false, true]]"), "of numbers")):
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert msg in err, err
@@ -210,6 +212,19 @@ def test_export_refuses_a_qubit_that_is_not_an_integer(tmp_path, capsys,
     assert (code, out) == (2, "")
     assert err == "error: qubit index must be an integer, got %s\n" % (
         {"false": "False"}.get(qubit, qubit))
+
+
+@pytest.mark.parametrize("gate, what", [
+    ('"kind": "Rz", "qubits": [0], "params": [true]', "angle"),
+    ('"kind": "U2", "qubits": [0], "matrix": [[true, false], [false, false],'
+     ' [false, false], [true, false]]', "matrix entry")])
+def test_export_refuses_a_boolean_number(tmp_path, capsys, gate, what):
+    src = tmp_path / "bad.json"
+    src.write_text('{"n": 1, "gates": [{%s}]}' % gate)
+    code, out, err = invoke(capsys, "export", "--in", str(src), "--format",
+                            "qasm2")
+    assert (code, out) == (2, "")
+    assert err == "error: %s must be a number, got True\n" % what
 
 
 def test_export_takes_the_widest_register_synth_emits(tmp_path, capsys):

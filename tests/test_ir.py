@@ -309,7 +309,10 @@ def test_json_keeps_ancilla_roles():
     '{"n": true, "gates": [{"kind": "X", "qubits": [false]}]}',
     '{"n": 2, "gates": [{"kind": "X", "qubits": [false]}]}',
     '{"n": 2, "gates": [{"kind": "X", "qubits": [1.5]}]}',
-    '{"n": 8194, "gates": []}'])
+    '{"n": 8194, "gates": []}',
+    '{"n": 1, "gates": [{"kind": "Rz", "qubits": [0], "params": [true]}]}',
+    '{"n": 1, "gates": [{"kind": "U2", "qubits": [0], "matrix": '
+    '[[true, false], [false, false], [false, false], [true, false]]}]}'])
 def test_parse_json_rejects_bad_shapes(text):
     with pytest.raises(ValueError):
         parse_json(text)

@@ -6,7 +6,7 @@ from qsynth.mcx import STRICT_MAX_N, McxSpec, mcx_log, _schedule
 from qsynth.sim import apply, equiv, random_state, unitary_of
 from qsynth.verify import Spec, _sparse, apply_oracle, sparse_apply
 
-from conftest import ctrl_u, X
+from conftest import X, ctrl_u, product_state
 
 
 def test_spec_validation():
@@ -95,8 +95,7 @@ def test_large_n_statevector_spots(n):
     for mode in ("clean", "dirty"):
         low = lower(mcx_log(McxSpec(n, mode)))
         n_product, n_entangled = (7, 3) if n < 16 else (5, 2)
-        states = [random_state(n + 1, rng, product=True)
-                  for _ in range(n_product)]
+        states = [product_state(n + 1, rng) for _ in range(n_product)]
         states += [random_state(n + 1, rng) for _ in range(n_entangled)]
         for psi in states:
             b = int(rng.integers(2)) if mode == "dirty" else 0

@@ -3,13 +3,15 @@ import pytest
 
 import qsynth.bench as bench
 import qsynth.cli as cli
-from qsynth.ir import Circuit, Gate, lower
+import qsynth.verify as verify
+from qsynth.ir import Circuit, Gate, lower, remap, rz_mat
 from qsynth.mcx import McxSpec, mcx_log
-from qsynth.sim import apply, random_state
+from qsynth.sim import apply, random_state, spectral_distance, unitary_of
 from qsynth.su2 import mcmt_x
 from qsynth.verify import Spec, apply_oracle, sparse_apply, verify_circuit
 
-from conftest import H, X, mcmt_oracle, random_circuit, random_su2
+from conftest import (H, X, mcmt_oracle, product_state, random_circuit,
+                      random_su2)
 
 
 def test_oracle_matches_reference(rng):
@@ -24,7 +26,7 @@ def test_oracle_matches_reference(rng):
         assert np.abs(got - want).max() < 1e-15
 
 
-@pytest.mark.parametrize("nq", [3, 5, 8])
+@pytest.mark.parametrize("nq", [3, 5, 8, 10])
 def test_sparse_apply_matches_dense(nq, rng):
     c = random_circuit(nq, rng)
     # a basis input and a random state, told apart by their owners
@@ -36,6 +38,28 @@ def test_sparse_apply_matches_dense(nq, rng):
     got = np.zeros((2, 1 << nq), dtype=complex)
     np.add.at(got, (owner, (bits.T << np.arange(nq)).sum(axis=1)), amp)
     assert np.abs(got - [apply(c, psi) for psi in psis]).max() < 1e-10
+
+
+@pytest.mark.parametrize("nq", [62, 141])
+def test_sparse_apply_on_wide_registers(nq):
+    # a random 6-wire circuit spread over the key words of a wide register
+    # (on 62 wires the input numbers move to a word of their own), with
+    # every other wire set; one basis input and three random states
+    rng = np.random.default_rng(nq)
+    wires = [0, 30, nq - 1, nq - 2] + ([45, 1] if nq < 63 else [62, 63])
+    small = random_circuit(6, rng)
+    c = remap(small, dict(enumerate(wires)), nq)
+    psis = [np.eye(64)[9]] + [random_state(6, rng) for _ in range(3)]
+    flat = np.concatenate([[9]] + [np.arange(64)] * 3)
+    bits = np.ones((nq, len(flat)), dtype=bool)
+    bits[wires] = (flat >> np.arange(6)[:, None]) & 1
+    owner = np.repeat(np.arange(4), [1, 64, 64, 64])
+    bits, amp, owner = sparse_apply(c, bits, np.concatenate(
+        [[1]] + psis[1:]), owner)
+    assert bits[[q for q in range(nq) if q not in wires]].all()
+    got = np.zeros((4, 64), dtype=complex)
+    np.add.at(got, (owner, (bits[wires].T << np.arange(6)).sum(axis=1)), amp)
+    assert np.abs(got - [apply(small, psi) for psi in psis]).max() < 1e-10
 
 
 def test_sparse_tier_catches_a_retargeted_store(capsys, monkeypatch):
@@ -54,9 +78,12 @@ def test_sparse_tier_catches_a_retargeted_store(capsys, monkeypatch):
     assert "cnot count" not in err
 
 
+# the spot_* tests cover registers of 12 to 18 qubits, which a statevector
+# spot tier checked before the sparse tier took that range over
+
 def test_spot_tier_catches_a_retargeted_store(capsys, monkeypatch):
     # the store X(8), RCCX(10, 11, 8) and its mirror image moved onto
-    # wire 12: same CX count, wrong circuit, in the spot tier's range
+    # wire 12: same CX count, wrong circuit, on 15 qubits
     good = mcx_log(McxSpec(13, "clean"))
     gates = list(good.gates)
     assert [gates[i].qubits[-1] for i in (9, 10)] == [8, 8]
@@ -66,20 +93,21 @@ def test_spot_tier_catches_a_retargeted_store(capsys, monkeypatch):
     monkeypatch.setattr(bench, "mcx_log", lambda spec: bad)
     assert cli.run(["verify", "mcx", "--controls", "13"]) == 1
     err = capsys.readouterr().err
-    assert "verify mcx: FAIL tier=spot inputs=8: spot check distance" in err
-    assert "(input 0)" in err and "cnot count" not in err
+    assert ("verify mcx: FAIL tier=sparse inputs=287: sparse check failed "
+            "on 2 of 287 inputs; first: controls cleared: 10,12,") in err
+    assert "cnot count" not in err
 
 
 def test_spot_tier_names_the_first_failing_input():
     # X(0) CX(0, 11) X(0) flips a target whenever control 0 is clear: the
-    # firing input 0 passes, the five drawn inputs (control 0 clear) fail
+    # firing input passes, the next one (control 0 clear) fails
     good = mcmt_x(11, 2)
     bad = Circuit(good.num_qubits, good.gates + (
         Gate("X", (0,)), Gate("CX", (0, 11)), Gate("X", (0,))))
     v = verify_circuit(bad, Spec("mcmt-x", 11, (X, X), "clean"))
-    assert (v.tier, v.inputs) == ("spot", 6)
-    assert v.fails[-1].startswith("spot check distance")
-    assert v.fails[-1].endswith("(input 1)")
+    assert (v.tier, v.inputs) == ("sparse", 250)
+    assert v.fails[-1].startswith("sparse check failed on 96 of 250 inputs; "
+                                  "first: controls cleared: 0, distance")
 
 
 def test_mcmt_su2_count_is_exact():
@@ -96,7 +124,7 @@ def test_mcmt_su2_count_is_exact():
 
 @pytest.mark.parametrize("argv, tier", [
     ("mcx --controls 4 --ancilla dirty", "dense"),
-    ("mcmt-x --controls 9 --targets 2", "spot"),
+    ("mcmt-x --controls 9 --targets 2", "sparse"),
     ("mcx --controls 29", "sparse"),
     ("mcx --controls 29 --ancilla dirty", "sparse"),
     ("mcmt-x --controls 17 --targets 3", "sparse"),
@@ -118,30 +146,31 @@ def test_spot_tier_sees_a_phase_that_depends_on_the_controls(target, n):
     c, spec = bench.build(target, n, 2)
     bad = Circuit(c.num_qubits, c.gates + (Gate("Rz", (0,), angle=0.3),),
                   c.ancilla_roles)
-    assert verify_circuit(c, spec).lines() == ["ok tier=spot inputs=6"]
+    k = {"mcmt-su2": 233, "mcmt-x": 190}[target]
+    assert verify_circuit(c, spec).lines() == ["ok tier=sparse inputs=%d" % k]
     v = verify_circuit(bad, spec)
-    assert (v.tier, v.inputs, len(v.fails)) == ("spot", 6, 1)
-    assert v.fails[0].startswith("spot check distance")
-    assert v.fails[0].endswith("(input 0)")
+    assert (v.tier, v.inputs, len(v.fails)) == ("sparse", k, 1)
+    assert v.fails[0].startswith("sparse check failed on %d of %d inputs; "
+                                 "first: controls cleared: none," % (k, k))
 
 
 def test_approx_spot_verdict_says_it_checks_columns(capsys):
     assert cli.run(["verify", "approx-u", "--controls", "12", "--gate", "x",
                     "--epsilon", "0.1"]) == 0
     assert capsys.readouterr().err == (
-        "verify approx-u: ok tier=spot inputs=6; the per-column epsilon "
+        "verify approx-u: ok tier=sparse inputs=61; the per-column epsilon "
         "check is necessary, not sufficient, for the spectral bound\n")
 
 
 # an exact target gets no phase freedom: a global phase e^{0.3i} appended on
-# wire 0 must FAIL in every tier (dense, spot, sparse by register size)
+# wire 0 must FAIL in every tier (dense or sparse by register size)
 @pytest.mark.parametrize("target, n, ancilla, tier", [
     ("mcx", 6, "clean", "dense"), ("mcx", 6, "dirty", "dense"),
-    ("mcx", 12, "clean", "spot"), ("mcx", 12, "dirty", "spot"),
+    ("mcx", 12, "clean", "sparse"), ("mcx", 12, "dirty", "sparse"),
     ("mcx", 20, "clean", "sparse"), ("mcx", 20, "dirty", "sparse"),
-    ("mcmt-x", 5, "clean", "dense"), ("mcmt-x", 10, "clean", "spot"),
+    ("mcmt-x", 5, "clean", "dense"), ("mcmt-x", 10, "clean", "sparse"),
     ("mcmt-x", 17, "clean", "sparse"), ("mcmt-su2", 6, "none", "dense"),
-    ("mcmt-su2", 10, "none", "spot"), ("mcmt-su2", 17, "none", "sparse"),
+    ("mcmt-su2", 10, "none", "sparse"), ("mcmt-su2", 17, "none", "sparse"),
 ])
 def test_a_global_phase_fails_every_tier(target, n, ancilla, tier):
     c, spec = bench.build(target, n, 2, ancilla)
@@ -176,3 +205,111 @@ def test_exact_targets_equal_their_oracle_with_no_phase(target, n, m,
     cols = np.eye(1 << nq)[:, :1 << (nq - (ancilla == "clean"))]
     want = apply_oracle(cols, n, spec.ws)
     assert np.abs(apply(lower(c), cols) - want).max() < 1e-12
+
+
+def test_dense_stacks_stay_within_the_amplitude_budget(monkeypatch):
+    # a wrong circuit on 10 qubits whose first failing input lies past the
+    # first stack: the FAIL line names its index among all the inputs
+    c, spec = bench.build("mcx", 8, 1, "dirty")
+    sizes = []
+
+    def spy(circuit, state):
+        sizes.append(state.size)
+        return apply(circuit, state)
+    monkeypatch.setattr(verify, "apply", spy)
+    assert verify_circuit(c, spec).lines() == ["ok tier=dense inputs=1024"]
+    assert len(sizes) == 8 and max(sizes) == verify._AMPS
+    bad = Circuit(c.num_qubits, c.gates + (Gate("CX", (8, 0)),) * 2 + (
+        Gate("CCX", (7, 9, 2)),), c.ancilla_roles)
+    cols = np.eye(1 << 10)
+    err = np.abs(apply(lower(bad), cols) - apply_oracle(cols, 8, spec.ws))
+    first = int(np.flatnonzero(err.max(axis=0) > 1e-9)[0])
+    assert first >= 128
+    sizes.clear()
+    v = verify_circuit(bad, spec)
+    assert v.fails[-1] == "dense check distance %.3e (input %d)" % (
+        err[:, first].max(), first)
+    assert max(sizes) == verify._AMPS
+
+
+def _mutants(c, rng, count):
+    """Seeded mutants of ``c``: one RCCX with its controls swapped, one
+    RCCX with its target moved to a wire it does not touch, or one X
+    dropped."""
+    rccx = [i for i, g in enumerate(c.gates) if g.kind == "RCCX"]
+    xs = [i for i, g in enumerate(c.gates) if g.kind == "X"]
+    for j in range(count):
+        gates = list(c.gates)
+        kind = j % 3 if xs else j % 2
+        i = int(rng.choice(xs if kind == 2 else rccx))
+        if kind == 2:
+            del gates[i]
+        else:
+            a, b, t = gates[i].qubits
+            if kind == 1:
+                t = int(rng.choice([q for q in range(c.num_qubits)
+                                    if q not in (a, b, t)]))
+            gates[i] = Gate("RCCX", (b, a, t) if kind == 0 else (a, b, t))
+        yield Circuit(c.num_qubits, gates, c.ancilla_roles)
+        yield Circuit(c.num_qubits, gates, c.ancilla_roles)
+
+
+def test_dense_approx_error_is_the_spectral_distance(monkeypatch):
+    # the in-place D = O^dag U against spectral_distance(U, O), on the
+    # circuit and on seeded mutants
+    c, spec = bench.build("approx-u", 7, gate=rz_mat(np.pi / 8))
+    O = apply_oracle(np.eye(1 << 8), 7, spec.ws)
+    norm, got = verify.spectral_norm, []
+    monkeypatch.setattr(verify, "spectral_norm",
+                        lambda D: got.append(norm(D)) or got[-1])
+    for m in [c] + list(_mutants(c, np.random.default_rng(3), 6)):
+        verify_circuit(m, spec)
+        assert abs(got[-1] - spectral_distance(unitary_of(lower(m)), O)) \
+            < 1e-12
+    assert max(got) > 0.5
+
+
+def _statevector_check_fails(c, spec):
+    """A seeded statevector check of a 12-18 qubit circuit: eight random
+    product states on the controls and the target (mcx; a dirty ancilla
+    takes a random basis value), else the firing pattern and five drawn
+    ones with control 0 clear, each with a random target state.  True if
+    a state's output leaves the oracle's by more than 1e-9 in some entry,
+    or, for approx-u, by more than epsilon at the state's best phase."""
+    n, m, nq = spec.n, len(spec.ws), c.num_qubits
+    rng = np.random.default_rng(20240811)
+    if spec.target == "mcx":
+        psis = [product_state(n + 1, rng) for _ in range(8)]
+        inputs = [((int(rng.integers(2)) if spec.ancilla == "dirty" else 0)
+                   << (n + 1), np.arange(1 << (n + 1)), psi) for psi in psis]
+    else:
+        pats = [(1 << n) - 1] + [int(rng.integers(1 << n) & ((1 << n) - 2))
+                                 for _ in range(5)]
+        inputs = [(p, np.arange(1 << m) << n, random_state(m, rng))
+                  for p in pats]
+    cols = np.zeros((1 << nq, len(inputs)), dtype=complex)
+    for i, (base, idx, psi) in enumerate(inputs):
+        cols[base + idx, i] = psi
+    out, want = apply(lower(c), cols), apply_oracle(cols, n, spec.ws)
+    if spec.epsilon is None:
+        return np.abs(out - want).max() > 1e-9
+    phase = np.exp(1j * np.angle((want.conj() * out).sum(axis=0)))
+    return np.linalg.norm(out - phase * want, axis=0).max() > spec.epsilon
+
+
+@pytest.mark.parametrize("target, n, ancilla", [
+    ("mcx", 10, "clean"), ("mcx", 14, "dirty"), ("mcmt-x", 9, "clean"),
+    ("mcmt-x", 13, "clean"), ("mcmt-su2", 10, "none"),
+    ("mcmt-su2", 14, "none"), ("approx-u", 11, "none"),
+    ("approx-u", 15, "none")])
+def test_sparse_tier_kills_what_a_statevector_check_kills(target, n,
+                                                          ancilla):
+    # seeded mutants of 12- and 16-qubit circuits: each one a statevector
+    # check catches must FAIL the sparse tier
+    c, spec = bench.build(target, n, 2, ancilla)
+    assert verify_circuit(c, spec).fails == ()
+    kills = [(_statevector_check_fails(bad, spec),
+              verify_circuit(bad, spec).fails != ())
+             for bad in _mutants(c, np.random.default_rng(n), 6)]
+    assert all(sparse for spot, sparse in kills if spot), kills
+    assert any(spot for spot, _ in kills)
