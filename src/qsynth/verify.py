@@ -5,13 +5,18 @@ controls on wires [0, n), W_j on wire n + j and at most one ancilla after
 them.  It checks the CX count against :data:`CNOT_TABLE`, then runs the
 tier the register size selects:
 
-- dense (at most 11 qubits): every basis input the spec allows, as columns
-  of the identity through the lowered circuit, _AMPS amplitudes at a time;
+- dense (at most 11 qubits): every basis input the spec allows.  A circuit
+  of X, CX, CCX and RCCX gates checked against X targets only permutes
+  basis states and multiplies them by powers of i, so it runs bit-sliced on
+  Python ints with no numpy; every other circuit runs lowered, its inputs
+  as columns of the identity, _AMPS amplitudes at a time;
 - sparse (12 qubits and up): near-firing inputs through a basis-index ->
   amplitude simulator (Jaques & Haner, arXiv:2105.01533) on int64 keys,
   vectorised over the inputs.  It runs the macro gates with the dense
-  simulator's own matrices; that lowering preserves them is tested on its
-  own.
+  simulator's own matrices.
+
+The bit-sliced dense check and the sparse tier simulate macro gates; that
+lowering preserves them is tested on its own.
 
 Every tier holds each input to the one rule of :func:`_errors`, except
 that an approximate target's dense unitary is held to its spectral bound.
@@ -21,10 +26,12 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import combinations
+from operator import and_, or_
 
 from ._np import np
 from .bench import Spec  # re-exported: the spec verify_circuit checks
-from .ir import Circuit, Gate, adjoint, cnot_count, lower
+from .ir import (Circuit, Gate, adjoint, cnot_count, dist, fixed_matrix,
+                 lower)
 from .sim import apply, gate_matrix, random_state, spectral_norm
 
 DENSE_CAP = 11         # largest register of the dense tier
@@ -35,6 +42,7 @@ _TINY = 1e-12          # amplitudes dropped after a gate spreads the rows
 MAX_ROWS = 1 << 21     # sparse rows held at once: 48 MB with one key word
 _WORD = 63             # key bits per int64 word; the sign bit stays clear
 _ALL_PAIRS = 64        # up to this many controls, every pair is cleared
+_PERMUTING = frozenset({"X", "CX", "CCX", "RCCX"})  # phased permutations
 
 
 # target -> exact CX count of (n, m, ancilla, n_b); n <= 2 circuits are
@@ -200,33 +208,104 @@ def _errors(o, w, owner, k, epsilon):
     return err, np.flatnonzero(err > epsilon)
 
 
+def _basis_ints(nq, k):
+    """Inputs 0..k-1 bit-sliced: bit j of wire q's int is bit q of input j,
+    which is set in the upper half of every run of 2^(q+1) inputs."""
+    ones = (1 << k) - 1
+    return [0 if 1 << q >= k else ones // ((1 << (2 << q)) - 1)
+            * (((1 << (1 << q)) - 1) << (1 << q)) for q in range(nq)]
+
+
+def _permute(c, wires, k):
+    """A circuit of X, CX, CCX and RCCX gates run on bit-sliced inputs
+    0..k-1, in place on ``wires``; returns the power of i on each input,
+    mod 4, bit-sliced as (lo, hi)."""
+    ones, lo, hi = (1 << k) - 1, 0, 0
+    for g in c.gates:
+        *ctl, t = g.qubits
+        fire = reduce(and_, (wires[q] for q in ctl), ones)
+        if g.kind == "RCCX":   # i^2 where a and t, then i where a and b
+            hi ^= (wires[ctl[0]] & wires[t]) ^ (lo & fire)
+            lo ^= fire
+        wires[t] ^= fire
+    return lo, hi
+
+
+def _sliced(c, spec, k):
+    """The first of inputs 0..k-1 that a circuit of X, CX, CCX and RCCX
+    gates maps to anything but the all-X oracle's output, as (distance,
+    input), or None: the distance of :func:`_columns`, 1 for a wrong basis
+    state, else |i^power - 1|."""
+    want, n = _basis_ints(c.num_qubits, k), spec.n
+    wires = list(want)
+    fire = reduce(and_, want[:n], (1 << k) - 1)
+    for q in range(n, n + len(spec.ws)):
+        want[q] ^= fire
+    lo, hi = _permute(c, wires, k)
+    moved = reduce(or_, (w ^ v for w, v in zip(wires, want)), 0)
+    miss = moved | lo | hi
+    if not miss:
+        return None
+    j = (miss & -miss).bit_length() - 1
+    power = (lo >> j & 1) + 2 * (hi >> j & 1)
+    return 1.0 if moved >> j & 1 else abs(1j ** power - 1), j
+
+
+def _columns(c, spec, k):
+    """The first input whose identity column through the lowered circuit
+    breaks the rule of :func:`_errors`, _AMPS amplitudes at a time, as
+    (distance, input), or None."""
+    low, nq = lower(c), c.num_qubits
+    dim, step = 1 << nq, max(1, _AMPS >> nq)
+    for j in range(0, k, step):
+        cols = np.eye(dim, min(step, k - j), -j)
+        out, want = apply(low, cols), apply_oracle(cols, spec.n, spec.ws)
+        err, bad = _errors(out.ravel(), want.ravel(), np.tile(
+            np.arange(cols.shape[1]), dim), cols.shape[1], None)
+        if bad.size:
+            return err[bad[0]], j + bad[0]
+    return None
+
+
+def _largest(D):
+    """D's first entry of largest modulus in flat order, as
+    ``D.flat[np.abs(D).argmax()]``, with no modulus copy of all of D."""
+    rows = max(1, _AMPS // D.shape[1])
+    best, at = -1.0, 0
+    for r in range(0, len(D), rows):
+        a = np.abs(D[r:r + rows])
+        i = int(a.argmax())
+        if a.flat[i] > best:
+            best, at = a.flat[i], r * D.shape[1] + i
+    return D.flat[at]
+
+
 def _dense(c, spec):
     """Every basis input the spec allows (a clean ancilla, the top wire, is
-    0), as identity columns through the lowered circuit, _AMPS amplitudes at
-    a time, each held to the rule of :func:`_errors`; for an approximate
-    target, D = O^dag U formed in place, whose D - e^{i phi} I has the
-    spectral norm of U - e^{i phi} O, since O is unitary, held to epsilon."""
-    low, nq, n = lower(c), c.num_qubits, spec.n
+    0), each held to the rule of :func:`_errors`: bit-sliced when the
+    circuit and the oracle are phased permutations, else as identity
+    columns; for an approximate target, D = O^dag U formed in place, whose
+    D - e^{i phi} I has the spectral norm of U - e^{i phi} O, since O is
+    unitary, held to epsilon."""
+    nq, n = c.num_qubits, spec.n
     dim, k = 1 << nq, 1 << (nq - (spec.ancilla == "clean"))
-    step = max(1, _AMPS >> nq)
     if spec.epsilon is not None:
+        low, step = lower(c), max(1, _AMPS >> nq)
         D = np.empty((dim, k), dtype=complex)
         for j in range(0, k, step):
             D[:, j:j + step] = apply(low, np.eye(dim, min(step, k - j), -j))
         D = apply_oracle(D, n, [adjoint(W) for W in spec.ws])
-        D.flat[::k + 1] -= np.exp(1j * np.angle(D.flat[np.abs(D).argmax()]))
+        D.flat[::k + 1] -= np.exp(1j * np.angle(_largest(D)))
         d = spectral_norm(D)
         return k, ["spectral error %.3e > epsilon %g" % (d, spec.epsilon)] \
             if d > spec.epsilon else []
-    for j in range(0, k, step):
-        cols = np.eye(dim, min(step, k - j), -j)
-        out, want = apply(low, cols), apply_oracle(cols, n, spec.ws)
-        err, bad = _errors(out.ravel(), want.ravel(), np.tile(
-            np.arange(cols.shape[1]), dim), cols.shape[1], None)
-        if bad.size:   # one line, on the first failing input
-            return k, ["dense check distance %.3e (input %d)"
-                       % (err[bad[0]], j + bad[0])]
-    return k, []
+    if all(dist(W, fixed_matrix("X")) == 0 for W in spec.ws) \
+            and all(g.kind in _PERMUTING for g in c.gates):
+        miss = _sliced(c, spec, k)
+    else:
+        miss = _columns(c, spec, k)
+    # one line, on the first failing input
+    return k, ["dense check distance %.3e (input %d)" % miss] if miss else []
 
 
 def _patterns(k, rng):

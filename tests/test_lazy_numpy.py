@@ -82,6 +82,24 @@ def test_matrix_free_requests_never_load_numpy(tmp_path, argv):
     assert r.stderr.rstrip().splitlines()[-1] == "loaded:" + ran
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "mcx", "--controls", "7", "--ancilla", "dirty"],
+    ["verify", "mcmt-x", "--controls", "5", "--targets", "4"],
+    ["bench", "--family", "mcx_dirty", "--n-min", "4", "--n-max", "6",
+     "--verify"],
+])
+def test_dense_permutation_checks_never_load_numpy(argv):
+    # circuits of X, CX, CCX and RCCX against X targets: the dense tier
+    # checks them bit-sliced on Python ints
+    r = fresh(_RUN_THEN_CHECK, *argv)
+    assert r.returncode == 0, r.stderr
+    lines = r.stderr.rstrip().splitlines()
+    assert all(": ok tier=dense inputs=" in line for line in lines[:-1])
+    assert lines[-1].startswith("loaded:")
+    assert "qsynth.verify" in lines[-1].split()
+    assert "numpy._core" not in lines[-1].split()
+
+
 def test_traced_modules_are_registered_on_cli_import():
     # a tracer rebinds the functions that perfbench/layers.py names, in the
     # modules it finds in sys.modules right after `import qsynth.cli`

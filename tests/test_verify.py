@@ -6,7 +6,8 @@ import qsynth.cli as cli
 import qsynth.verify as verify
 from qsynth.ir import Circuit, Gate, lower, remap, rz_mat
 from qsynth.mcx import McxSpec, mcx_log
-from qsynth.sim import apply, random_state, spectral_distance, unitary_of
+from qsynth.sim import (apply, random_state, rccx_matrix, spectral_distance,
+                        unitary_of)
 from qsynth.su2 import mcmt_x
 from qsynth.verify import Spec, apply_oracle, sparse_apply, verify_circuit
 
@@ -209,8 +210,9 @@ def test_exact_targets_equal_their_oracle_with_no_phase(target, n, m,
 
 def test_dense_stacks_stay_within_the_amplitude_budget(monkeypatch):
     # a wrong circuit on 10 qubits whose first failing input lies past the
-    # first stack: the FAIL line names its index among all the inputs
-    c, spec = bench.build("mcx", 8, 1, "dirty")
+    # first stack: the FAIL line names its index among all the inputs.
+    # mcmt-su2 runs on the column stacks; mcx and mcmt-x are bit-sliced
+    c, spec = bench.build("mcmt-su2", 8, 2)
     sizes = []
 
     def spy(circuit, state):
@@ -267,6 +269,68 @@ def test_dense_approx_error_is_the_spectral_distance(monkeypatch):
         assert abs(got[-1] - spectral_distance(unitary_of(lower(m)), O)) \
             < 1e-12
     assert max(got) > 0.5
+
+
+def _permutation_cases():
+    """Every mcx and mcmt-x request of the dense range."""
+    for n in range(1, 10):
+        yield "mcx", n, 1, "clean"
+        yield "mcx", n, 1, "dirty"
+        for m in range(1, 11 - n):
+            yield "mcmt-x", n, m, "clean"
+
+
+@pytest.mark.parametrize("target, n, m, ancilla", list(_permutation_cases()))
+def test_bit_sliced_check_matches_the_column_stacks(monkeypatch, target, n,
+                                                    m, ancilla):
+    # the circuit, seeded mutants, one RCCX made a CCX (a phase of +-i on
+    # some inputs) and three circuits with one gate dropped: the bit-sliced
+    # verdict, which never calls apply, against the column stacks' (forced
+    # by an empty set of permutation kinds)
+    c, spec = bench.build(target, n, m, ancilla)
+    rng = np.random.default_rng(n * 16 + m)
+    circuits = [c]
+    rccx = [i for i, g in enumerate(c.gates) if g.kind == "RCCX"]
+    if rccx:
+        circuits += dict.fromkeys(_mutants(c, rng, 3))
+        i = int(rng.choice(rccx))
+        circuits.append(Circuit(c.num_qubits, c.gates[:i] + (
+            Gate("CCX", c.gates[i].qubits),) + c.gates[i + 1:],
+            c.ancilla_roles))
+    for i in rng.choice(len(c.gates), min(3, len(c.gates)), replace=False):
+        circuits.append(Circuit(c.num_qubits, c.gates[:i] + c.gates[i + 1:],
+                                c.ancilla_roles))
+
+    def no_apply(circuit, state):
+        raise AssertionError("the bit-sliced check ran apply")
+    monkeypatch.setattr(verify, "apply", no_apply)
+    sliced = [verify_circuit(b, spec).lines() for b in circuits]
+    assert verify_circuit(c, spec._replace(ws=(X,) * m)).lines() == sliced[0]
+    monkeypatch.setattr(verify, "apply", apply)
+    monkeypatch.setattr(verify, "_PERMUTING", frozenset())
+    assert sliced == [verify_circuit(b, spec).lines() for b in circuits]
+    assert sliced[0] == ["ok tier=dense inputs=%d" % (
+        1 << (c.num_qubits - (ancilla == "clean")))]
+    assert any(v[-1].startswith("FAIL") for v in sliced[1:])
+
+
+@pytest.mark.parametrize("qubits", [(0, 1, 2), (2, 1, 0), (1, 2, 0),
+                                    (0, 2, 1)])
+def test_bit_sliced_gates_match_their_matrices(qubits):
+    # every basis input through X, CX, CCX and RCCX on 3 wires, bit-sliced,
+    # lands where the gate's matrix sends it, with the matrix's phase; on
+    # wires (2, 1, 0) RCCX's matrix is sim.rccx_matrix() itself
+    for kind, arity in (("X", 1), ("CX", 2), ("CCX", 3), ("RCCX", 3)):
+        c = Circuit(3, [Gate(kind, qubits[-arity:])])
+        wires = verify._basis_ints(3, 8)
+        lo, hi = verify._permute(c, wires, 8)
+        P = np.zeros((8, 8), dtype=complex)
+        for j in range(8):
+            out = sum((w >> j & 1) << q for q, w in enumerate(wires))
+            P[out, j] = 1j ** ((lo >> j & 1) + 2 * (hi >> j & 1))
+        assert np.abs(P - unitary_of(c)).max() < 1e-12, kind
+        if (kind, qubits) == ("RCCX", (2, 1, 0)):
+            assert np.abs(P - rccx_matrix()).max() < 1e-12
 
 
 def _statevector_check_fails(c, spec):
