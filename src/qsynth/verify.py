@@ -3,20 +3,30 @@
 :func:`verify_circuit` checks a circuit against C^n(W_1 x ... x W_m), with
 controls on wires [0, n), W_j on wire n + j and at most one ancilla after
 them.  It checks the CX count against :data:`CNOT_TABLE`, then runs the
-tier the register size selects:
+tier the circuit and its register size select:
 
-- dense (at most 11 qubits): every basis input the spec allows.  A circuit
-  of X, CX, CCX and RCCX gates checked against X targets only permutes
-  basis states and multiplies them by powers of i, so it runs bit-sliced on
-  Python ints with no numpy; every other circuit runs lowered, its inputs
-  as columns of the identity, _AMPS amplitudes at a time;
-- sparse (12 qubits and up): near-firing inputs through a basis-index ->
-  amplitude simulator (Jaques & Haner, arXiv:2105.01533) on int64 keys,
-  vectorised over the inputs.  It runs the macro gates with the dense
-  simulator's own matrices.
+- dense: every basis input the spec allows.  A circuit of X, CX, CCX and
+  RCCX gates checked against X targets only permutes basis states and
+  multiplies them by powers of i, so it runs bit-sliced on Python ints
+  with no numpy, on any register whose inputs number at most
+  :data:`SLICED_INPUTS`; every other circuit runs lowered on registers of
+  at most 11 qubits, its inputs as columns of the identity, _AMPS
+  amplitudes at a time;
+- sparse (every other circuit of 12 qubits and up): near-firing inputs
+  through a basis-index -> amplitude simulator (Jaques & Haner,
+  arXiv:2105.01533) on int64 keys, vectorised over the inputs.  It runs the
+  macro gates with the dense simulator's own matrices.
+
+The bit-sliced check holds one int of k bits per wire, so its time and
+memory grow with k, the sparse tier's with the width of the register.  The
+budget stops at 2^21 inputs (an mcx on 21 qubits with a dirty ancilla, on
+22 with a clean one), the last power of two at which the bit-sliced check
+still peaks below the sparse tier: a fresh verify process peaks at 28 MB
+against 36 at 2^21 inputs, and at 41 MB against 37 at 2^22.
 
 The bit-sliced dense check and the sparse tier simulate macro gates; that
-lowering preserves them is tested on its own.
+lowering preserves them is tested on its own.  Only the column stacks, the
+approximate check and the sparse tier load ``sim`` (and with it numpy).
 
 Every tier holds each input to the one rule of :func:`_errors`, except
 that an approximate target's dense unitary is held to its spectral bound.
@@ -32,9 +42,9 @@ from ._np import np
 from .bench import Spec  # re-exported: the spec verify_circuit checks
 from .ir import (Circuit, Gate, adjoint, cnot_count, dist, fixed_matrix,
                  lower)
-from .sim import apply, gate_matrix, random_state, spectral_norm
 
-DENSE_CAP = 11         # largest register of the dense tier
+DENSE_CAP = 11         # largest register of the dense column stacks
+SLICED_INPUTS = 1 << 21  # most inputs of a bit-sliced dense check
 _AMPS = 1 << 17        # amplitudes per dense stack: 128 columns at 10 qubits
 _SEED = 20240811
 _TOL = 1e-9            # largest entry error of an exact target, every tier
@@ -129,6 +139,7 @@ def _action(g):
     phased permutation, the target flip and phase of each local input (None
     for none), else the diagonal, the entry each input takes from its
     partner (the target flipped) and which inputs mix."""
+    from .sim import gate_matrix
     M, k = gate_matrix(g), len(g.qubits)
     frm, to = np.nonzero(np.abs(M.T) > _TINY)
     if ((frm ^ to) > 1).any():
@@ -210,10 +221,17 @@ def _errors(o, w, owner, k, epsilon):
 
 def _basis_ints(nq, k):
     """Inputs 0..k-1 bit-sliced: bit j of wire q's int is bit q of input j,
-    which is set in the upper half of every run of 2^(q+1) inputs."""
-    ones = (1 << k) - 1
-    return [0 if 1 << q >= k else ones // ((1 << (2 << q)) - 1)
-            * (((1 << (1 << q)) - 1) << (1 << q)) for q in range(nq)]
+    which is set in the upper half of every run of 2^(q+1) inputs.  Each
+    int is one run doubled by shifts, in time linear in k."""
+    wires = []
+    for q in range(nq):
+        half = 1 << q
+        run, width = ((1 << half) - 1) << half, 2 * half
+        while width < k:
+            run |= run << width
+            width *= 2
+        wires.append(run & ((1 << k) - 1) if half < k else 0)
+    return wires
 
 
 def _permute(c, wires, k):
@@ -231,11 +249,21 @@ def _permute(c, wires, k):
     return lo, hi
 
 
+def _sliceable(c, spec):
+    """Whether the circuit and the oracle are phased permutations: X, CX,
+    CCX and RCCX gates against exact X targets."""
+    return spec.epsilon is None \
+        and all(dist(W, fixed_matrix("X")) == 0 for W in spec.ws) \
+        and all(g.kind in _PERMUTING for g in c.gates)
+
+
 def _sliced(c, spec, k):
     """The first of inputs 0..k-1 that a circuit of X, CX, CCX and RCCX
     gates maps to anything but the all-X oracle's output, as (distance,
     input), or None: the distance of :func:`_columns`, 1 for a wrong basis
-    state, else |i^power - 1|."""
+    state, else |i^power - 1|.  Each wire is one int of k bits, held twice
+    (the circuit's and the oracle's), so verify_circuit keeps k within
+    SLICED_INPUTS, past which the sparse tier peaks lower."""
     want, n = _basis_ints(c.num_qubits, k), spec.n
     wires = list(want)
     fire = reduce(and_, want[:n], (1 << k) - 1)
@@ -255,6 +283,7 @@ def _columns(c, spec, k):
     """The first input whose identity column through the lowered circuit
     breaks the rule of :func:`_errors`, _AMPS amplitudes at a time, as
     (distance, input), or None."""
+    from .sim import apply
     low, nq = lower(c), c.num_qubits
     dim, step = 1 << nq, max(1, _AMPS >> nq)
     for j in range(0, k, step):
@@ -280,16 +309,23 @@ def _largest(D):
     return D.flat[at]
 
 
+def _inputs(c, spec):
+    """How many basis inputs the spec allows: a clean ancilla, the top
+    wire, is 0."""
+    return 1 << (c.num_qubits - (spec.ancilla == "clean"))
+
+
 def _dense(c, spec):
-    """Every basis input the spec allows (a clean ancilla, the top wire, is
-    0), each held to the rule of :func:`_errors`: bit-sliced when the
-    circuit and the oracle are phased permutations, else as identity
+    """Every basis input the spec allows (:func:`_inputs`), each held to
+    the rule of :func:`_errors`: bit-sliced when the circuit and the oracle
+    are phased permutations (:func:`_sliceable`), else as identity
     columns; for an approximate target, D = O^dag U formed in place, whose
     D - e^{i phi} I has the spectral norm of U - e^{i phi} O, since O is
     unitary, held to epsilon."""
     nq, n = c.num_qubits, spec.n
-    dim, k = 1 << nq, 1 << (nq - (spec.ancilla == "clean"))
+    dim, k = 1 << nq, _inputs(c, spec)
     if spec.epsilon is not None:
+        from .sim import apply, spectral_norm
         low, step = lower(c), max(1, _AMPS >> nq)
         D = np.empty((dim, k), dtype=complex)
         for j in range(0, k, step):
@@ -299,11 +335,7 @@ def _dense(c, spec):
         d = spectral_norm(D)
         return k, ["spectral error %.3e > epsilon %g" % (d, spec.epsilon)] \
             if d > spec.epsilon else []
-    if all(dist(W, fixed_matrix("X")) == 0 for W in spec.ws) \
-            and all(g.kind in _PERMUTING for g in c.gates):
-        miss = _sliced(c, spec, k)
-    else:
-        miss = _columns(c, spec, k)
+    miss = (_sliced if _sliceable(c, spec) else _columns)(c, spec, k)
     # one line, on the first failing input
     return k, ["dense check distance %.3e (input %d)" % miss] if miss else []
 
@@ -330,6 +362,7 @@ def _sparse_inputs(spec, nq, rng):
     the patterns of :func:`_patterns`, with both ancilla values in dirty
     mode, and targets random basis values; an approximate circuit's base
     controls and target instead hold one random state per input."""
+    from .sim import random_state
     n, m = spec.n, len(spec.ws)
     dense = [] if spec.n_b is None else list(range(spec.n_b + 1)) + [n]
     basis = [q for q in range(n) if q not in dense]
@@ -379,14 +412,18 @@ def _sparse(c, spec):
 
 
 def verify_circuit(c, spec) -> Verdict:
-    """CX count plus the check of the tier the register size selects."""
+    """CX count plus the check of the tier the circuit and its register
+    size select: dense on at most DENSE_CAP qubits, or bit-sliced on at
+    most SLICED_INPUTS inputs, else sparse."""
     want = CNOT_TABLE[spec.target](spec.n, len(spec.ws), spec.ancilla,
                                    spec.n_b)
     got = cnot_count(c)
     fails = []
     if got != want:
         fails.append("cnot count %d != %d" % (got, want))
-    tier = "dense" if c.num_qubits <= DENSE_CAP else "sparse"
+    dense = c.num_qubits <= DENSE_CAP \
+        or _inputs(c, spec) <= SLICED_INPUTS and _sliceable(c, spec)
+    tier = "dense" if dense else "sparse"
     inputs, more = (_dense if tier == "dense" else _sparse)(c, spec)
     note = ""
     if spec.epsilon is not None and tier != "dense":

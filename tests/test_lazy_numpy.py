@@ -87,10 +87,14 @@ def test_matrix_free_requests_never_load_numpy(tmp_path, argv):
     ["verify", "mcmt-x", "--controls", "5", "--targets", "4"],
     ["bench", "--family", "mcx_dirty", "--n-min", "4", "--n-max", "6",
      "--verify"],
+    ["verify", "mcx", "--controls", "14"],
+    ["verify", "mcmt-x", "--controls", "10", "--targets", "3"],
+    ["verify", "mcx", "--controls", "19", "--ancilla", "dirty"],
 ])
 def test_dense_permutation_checks_never_load_numpy(argv):
     # circuits of X, CX, CCX and RCCX against X targets: the dense tier
-    # checks them bit-sliced on Python ints
+    # checks them bit-sliced on Python ints, up to 2^21 inputs (the last
+    # request), and runs none of sim's code
     r = fresh(_RUN_THEN_CHECK, *argv)
     assert r.returncode == 0, r.stderr
     lines = r.stderr.rstrip().splitlines()
@@ -98,6 +102,7 @@ def test_dense_permutation_checks_never_load_numpy(argv):
     assert lines[-1].startswith("loaded:")
     assert "qsynth.verify" in lines[-1].split()
     assert "numpy._core" not in lines[-1].split()
+    assert "qsynth.sim" not in lines[-1].split()
 
 
 def test_traced_modules_are_registered_on_cli_import():

@@ -3,13 +3,15 @@ import pytest
 
 import qsynth.bench as bench
 import qsynth.cli as cli
+import qsynth.sim as sim
 import qsynth.verify as verify
 from qsynth.ir import Circuit, Gate, lower, remap, rz_mat
 from qsynth.mcx import McxSpec, mcx_log
 from qsynth.sim import (apply, random_state, rccx_matrix, spectral_distance,
                         unitary_of)
 from qsynth.su2 import mcmt_x
-from qsynth.verify import Spec, apply_oracle, sparse_apply, verify_circuit
+from qsynth.verify import (Spec, Verdict, apply_oracle, sparse_apply,
+                           verify_circuit)
 
 from conftest import (H, X, mcmt_oracle, product_state, random_circuit,
                       random_su2)
@@ -65,7 +67,9 @@ def test_sparse_apply_on_wide_registers(nq):
 
 def test_sparse_tier_catches_a_retargeted_store(capsys, monkeypatch):
     # move one store (an X and an RCCX onto a freed wire) and its mirror
-    # image to another freed wire: same CX count, wrong circuit
+    # image to another freed wire: same CX count, wrong circuit.  Its 2^21
+    # inputs are within the bit-sliced budget, so verify runs the dense
+    # tier; the sparse tier runs on the same circuit directly
     good = mcx_log(McxSpec(20, "clean"))
     gates = list(good.gates)
     assert [gates[i].qubits[-1] for i in (21, 22)] == [13, 13]
@@ -75,12 +79,19 @@ def test_sparse_tier_catches_a_retargeted_store(capsys, monkeypatch):
     monkeypatch.setattr(bench, "mcx_log", lambda spec: bad)
     assert cli.run(["verify", "mcx", "--controls", "20"]) == 1
     err = capsys.readouterr().err
-    assert "verify mcx: FAIL tier=sparse inputs=" in err
+    assert err == ("verify mcx: FAIL tier=dense inputs=2097152: dense check "
+                   "distance 1.000e+00 (input 16383)\n")
+    sparse = Verdict("sparse", *verify._sparse(bad, Spec(
+        "mcx", 20, (X,), "clean"))).lines()
+    assert sparse[0].startswith("FAIL tier=sparse inputs=411: sparse check "
+                                "failed on 21 of 411 inputs; ")
     assert "cnot count" not in err
 
 
 # the spot_* tests cover registers of 12 to 18 qubits, which a statevector
-# spot tier checked before the sparse tier took that range over
+# spot tier checked before the sparse tier took that range over; their mcx
+# and mcmt-x circuits now run bit-sliced in the dense tier, and each test
+# runs the sparse tier on the same circuit directly
 
 def test_spot_tier_catches_a_retargeted_store(capsys, monkeypatch):
     # the store X(8), RCCX(10, 11, 8) and its mirror image moved onto
@@ -94,21 +105,31 @@ def test_spot_tier_catches_a_retargeted_store(capsys, monkeypatch):
     monkeypatch.setattr(bench, "mcx_log", lambda spec: bad)
     assert cli.run(["verify", "mcx", "--controls", "13"]) == 1
     err = capsys.readouterr().err
-    assert ("verify mcx: FAIL tier=sparse inputs=287: sparse check failed "
-            "on 2 of 287 inputs; first: controls cleared: 10,12,") in err
+    assert err == ("verify mcx: FAIL tier=dense inputs=16384: dense check "
+                   "distance 1.000e+00 (input 1023)\n")
+    sparse = Verdict("sparse", *verify._sparse(bad, Spec(
+        "mcx", 13, (X,), "clean"))).lines()
+    assert sparse[0].startswith(
+        "FAIL tier=sparse inputs=287: sparse check failed "
+        "on 2 of 287 inputs; first: controls cleared: 10,12,")
     assert "cnot count" not in err
 
 
 def test_spot_tier_names_the_first_failing_input():
-    # X(0) CX(0, 11) X(0) flips a target whenever control 0 is clear: the
-    # firing input passes, the next one (control 0 clear) fails
+    # X(0) CX(0, 11) X(0) flips a target whenever control 0 is clear: in
+    # the sparse tier the firing input passes, the next one (control 0
+    # clear) fails; in the dense tier input 0 (every control clear) fails
     good = mcmt_x(11, 2)
     bad = Circuit(good.num_qubits, good.gates + (
         Gate("X", (0,)), Gate("CX", (0, 11)), Gate("X", (0,))))
-    v = verify_circuit(bad, Spec("mcmt-x", 11, (X, X), "clean"))
-    assert (v.tier, v.inputs) == ("sparse", 250)
-    assert v.fails[-1].startswith("sparse check failed on 96 of 250 inputs; "
-                                  "first: controls cleared: 0, distance")
+    spec = Spec("mcmt-x", 11, (X, X), "clean")
+    v = verify_circuit(bad, spec)
+    assert (v.tier, v.inputs) == ("dense", 8192)
+    assert v.fails[-1] == "dense check distance 1.000e+00 (input 0)"
+    inputs, fails = verify._sparse(bad, spec)
+    assert inputs == 250
+    assert fails[-1].startswith("sparse check failed on 96 of 250 inputs; "
+                                "first: controls cleared: 0, distance")
 
 
 def test_mcmt_su2_count_is_exact():
@@ -125,10 +146,11 @@ def test_mcmt_su2_count_is_exact():
 
 @pytest.mark.parametrize("argv, tier", [
     ("mcx --controls 4 --ancilla dirty", "dense"),
-    ("mcmt-x --controls 9 --targets 2", "sparse"),
+    ("mcmt-x --controls 9 --targets 2", "dense"),
     ("mcx --controls 29", "sparse"),
     ("mcx --controls 29 --ancilla dirty", "sparse"),
-    ("mcmt-x --controls 17 --targets 3", "sparse"),
+    ("mcmt-x --controls 17 --targets 3", "dense"),
+    ("mcmt-x --controls 18 --targets 4", "sparse"),
     ("mcmt-su2 --controls 17 --targets 2 --gate h", "sparse"),
     ("approx-u --controls 18 --gate x --epsilon 0.1", "sparse"),
 ])
@@ -143,12 +165,18 @@ def test_verify_names_its_tier(capsys, argv, tier):
 def test_spot_tier_sees_a_phase_that_depends_on_the_controls(target, n):
     # Rz on control 0 keeps the CX count and maps each basis pattern of the
     # controls to itself up to a phase, which moves with control 0: the
-    # exact targets get no phase freedom, so the firing input 0 fails first
+    # exact targets get no phase freedom, so the firing input 0 fails first.
+    # The Rz keeps the mutant in the sparse tier; the good mcmt-x circuit
+    # runs bit-sliced in the dense tier, and the sparse tier on it directly
     c, spec = bench.build(target, n, 2)
     bad = Circuit(c.num_qubits, c.gates + (Gate("Rz", (0,), angle=0.3),),
                   c.ancilla_roles)
     k = {"mcmt-su2": 233, "mcmt-x": 190}[target]
-    assert verify_circuit(c, spec).lines() == ["ok tier=sparse inputs=%d" % k]
+    assert Verdict("sparse", *verify._sparse(c, spec)).lines() \
+        == ["ok tier=sparse inputs=%d" % k]
+    assert verify_circuit(c, spec).lines() == [{
+        "mcmt-su2": "ok tier=sparse inputs=233",
+        "mcmt-x": "ok tier=dense inputs=2048"}[target]]
     v = verify_circuit(bad, spec)
     assert (v.tier, v.inputs, len(v.fails)) == ("sparse", k, 1)
     assert v.fails[0].startswith("sparse check failed on %d of %d inputs; "
@@ -218,7 +246,7 @@ def test_dense_stacks_stay_within_the_amplitude_budget(monkeypatch):
     def spy(circuit, state):
         sizes.append(state.size)
         return apply(circuit, state)
-    monkeypatch.setattr(verify, "apply", spy)
+    monkeypatch.setattr(sim, "apply", spy)
     assert verify_circuit(c, spec).lines() == ["ok tier=dense inputs=1024"]
     assert len(sizes) == 8 and max(sizes) == verify._AMPS
     bad = Circuit(c.num_qubits, c.gates + (Gate("CX", (8, 0)),) * 2 + (
@@ -253,7 +281,6 @@ def _mutants(c, rng, count):
                                     if q not in (a, b, t)]))
             gates[i] = Gate("RCCX", (b, a, t) if kind == 0 else (a, b, t))
         yield Circuit(c.num_qubits, gates, c.ancilla_roles)
-        yield Circuit(c.num_qubits, gates, c.ancilla_roles)
 
 
 def test_dense_approx_error_is_the_spectral_distance(monkeypatch):
@@ -261,8 +288,8 @@ def test_dense_approx_error_is_the_spectral_distance(monkeypatch):
     # circuit and on seeded mutants
     c, spec = bench.build("approx-u", 7, gate=rz_mat(np.pi / 8))
     O = apply_oracle(np.eye(1 << 8), 7, spec.ws)
-    norm, got = verify.spectral_norm, []
-    monkeypatch.setattr(verify, "spectral_norm",
+    norm, got = sim.spectral_norm, []
+    monkeypatch.setattr(sim, "spectral_norm",
                         lambda D: got.append(norm(D)) or got[-1])
     for m in [c] + list(_mutants(c, np.random.default_rng(3), 6)):
         verify_circuit(m, spec)
@@ -292,7 +319,7 @@ def test_bit_sliced_check_matches_the_column_stacks(monkeypatch, target, n,
     circuits = [c]
     rccx = [i for i, g in enumerate(c.gates) if g.kind == "RCCX"]
     if rccx:
-        circuits += dict.fromkeys(_mutants(c, rng, 3))
+        circuits += _mutants(c, rng, 3)
         i = int(rng.choice(rccx))
         circuits.append(Circuit(c.num_qubits, c.gates[:i] + (
             Gate("CCX", c.gates[i].qubits),) + c.gates[i + 1:],
@@ -303,10 +330,10 @@ def test_bit_sliced_check_matches_the_column_stacks(monkeypatch, target, n,
 
     def no_apply(circuit, state):
         raise AssertionError("the bit-sliced check ran apply")
-    monkeypatch.setattr(verify, "apply", no_apply)
+    monkeypatch.setattr(sim, "apply", no_apply)
     sliced = [verify_circuit(b, spec).lines() for b in circuits]
     assert verify_circuit(c, spec._replace(ws=(X,) * m)).lines() == sliced[0]
-    monkeypatch.setattr(verify, "apply", apply)
+    monkeypatch.setattr(sim, "apply", apply)
     monkeypatch.setattr(verify, "_PERMUTING", frozenset())
     assert sliced == [verify_circuit(b, spec).lines() for b in circuits]
     assert sliced[0] == ["ok tier=dense inputs=%d" % (
@@ -331,6 +358,68 @@ def test_bit_sliced_gates_match_their_matrices(qubits):
         assert np.abs(P - unitary_of(c)).max() < 1e-12, kind
         if (kind, qubits) == ("RCCX", (2, 1, 0)):
             assert np.abs(P - rccx_matrix()).max() < 1e-12
+
+
+def test_basis_ints_match_the_closed_form():
+    # the doubling shifts against the division they replace, on every
+    # power-of-two input count up to 2^16, and against the definition on
+    # counts that are no power of two
+    def closed(nq, k):
+        ones = (1 << k) - 1
+        return [0 if 1 << q >= k else ones // ((1 << (2 << q)) - 1)
+                * (((1 << (1 << q)) - 1) << (1 << q)) for q in range(nq)]
+    for nq in range(17):
+        for k in {1 << nq, 1 << max(nq - 1, 0)}:
+            assert verify._basis_ints(nq, k) == closed(nq, k), (nq, k)
+    for k in (3, 5, 6, 7, 11, 100):
+        assert verify._basis_ints(7, k) == [
+            sum((j >> q & 1) << j for j in range(k)) for q in range(7)]
+
+
+def _sliced_past_the_columns():
+    """mcx and mcmt-x requests of 12 qubits up to SLICED_INPUTS inputs."""
+    for n in (10, 13, 16, 20):
+        yield "mcx", n, 1, "clean"
+    for n in (10, 14, 17, 19):
+        yield "mcx", n, 1, "dirty"
+    for n, m in ((9, 2), (10, 3), (13, 2), (12, 6), (17, 3), (17, 4)):
+        yield "mcmt-x", n, m, "clean"
+
+
+@pytest.mark.parametrize("target, n, m, ancilla",
+                         list(_sliced_past_the_columns()))
+def test_bit_sliced_check_kills_what_the_sparse_tier_kills(target, n, m,
+                                                           ancilla):
+    # past the column stacks, verify checks these builds on every basis
+    # input; the sparse tier, which still checks them above the budget,
+    # draws near-firing ones.  Both pass the build, and each seeded mutant
+    # the sparse tier FAILs must FAIL the exhaustive check too
+    c, spec = bench.build(target, n, m, ancilla)
+    k = 1 << (c.num_qubits - (ancilla == "clean"))
+    assert c.num_qubits > verify.DENSE_CAP and k <= verify.SLICED_INPUTS
+    assert verify_circuit(c, spec).lines() == ["ok tier=dense inputs=%d" % k]
+    assert verify._sparse(c, spec)[1] == []
+    kills = [(verify._sparse(bad, spec)[1] != [],
+              verify_circuit(bad, spec).fails != ())
+             for bad in _mutants(c, np.random.default_rng(n * 32 + m), 6)]
+    assert all(dense for sparse, dense in kills if sparse), kills
+    assert any(sparse for sparse, _ in kills)
+
+
+@pytest.mark.parametrize("argv, line", [
+    ("mcx --controls 20", "ok tier=dense inputs=2097152"),
+    ("mcx --controls 21", "ok tier=sparse inputs="),
+    ("mcx --controls 19 --ancilla dirty", "ok tier=dense inputs=2097152"),
+    ("mcx --controls 20 --ancilla dirty", "ok tier=sparse inputs="),
+    ("mcmt-x --controls 17 --targets 4", "ok tier=dense inputs=2097152"),
+    ("mcmt-x --controls 17 --targets 5", "ok tier=sparse inputs="),
+])
+def test_bit_sliced_budget_is_the_tier_boundary(capsys, argv, line):
+    # the last shapes with SLICED_INPUTS inputs run bit-sliced in the dense
+    # tier, the first ones past it the sparse tier
+    assert cli.run(["verify"] + argv.split()) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("verify %s: %s" % (argv.split()[0], line)), err
 
 
 def _statevector_check_fails(c, spec):
@@ -369,11 +458,15 @@ def _statevector_check_fails(c, spec):
 def test_sparse_tier_kills_what_a_statevector_check_kills(target, n,
                                                           ancilla):
     # seeded mutants of 12- and 16-qubit circuits: each one a statevector
-    # check catches must FAIL the sparse tier
+    # check catches must FAIL the sparse tier, run directly, and the tier
+    # verify picks (dense, bit-sliced, for mcx and mcmt-x)
     c, spec = bench.build(target, n, 2, ancilla)
     assert verify_circuit(c, spec).fails == ()
+    assert verify._sparse(c, spec)[1] == []
     kills = [(_statevector_check_fails(bad, spec),
+              verify._sparse(bad, spec)[1] != [],
               verify_circuit(bad, spec).fails != ())
              for bad in _mutants(c, np.random.default_rng(n), 6)]
-    assert all(sparse for spot, sparse in kills if spot), kills
-    assert any(spot for spot, _ in kills)
+    assert all(sparse and picked for spot, sparse, picked in kills if spot), \
+        kills
+    assert any(spot for spot, _, _ in kills)
