@@ -61,6 +61,10 @@ def nb_from_epsilon(theta, epsilon):
         raise ValueError("theta = 0: the controlled gate is a pure phase; "
                          "use exact synthesis instead")
     phi = math.acos(1.0 - epsilon ** 2 / 2.0)
+    if phi == 0:
+        # 1 - epsilon^2/2 rounds to 1 below about epsilon = 1.5e-8
+        raise ValueError("epsilon %g is too small: arccos(1 - epsilon^2/2) "
+                         "rounds to 0" % epsilon)
     return max(1, math.ceil(math.log2(abs(theta) / phi)))
 
 

@@ -141,28 +141,11 @@ def _aligned(A, B):
     return A - cmath.exp(1j * cmath.phase(D.flat[np.abs(D).argmax()])) * B
 
 
-def _split_ancilla(M, n, ancillas):
-    """Reshape a 2^n matrix into blocks indexed by ancilla bit patterns.
-
-    Returns an array B[a_out, a_in] of (2^r x 2^r) blocks, r = n - #anc.
-    """
-    anc = sorted(ancillas)
-    rest = [q for q in range(n) if q not in anc]
-    dim_a, dim_r = 2 ** len(anc), 2 ** len(rest)
-    # output axes: qubit q -> axis n-1-q; input axes shifted by n
-    axes = [n - 1 - q for q in anc + rest]
-    T = np.transpose(M.reshape((2,) * 2 * n), axes + [n + a for a in axes])
-    return T.reshape(dim_a, dim_r, dim_a, dim_r).transpose(0, 2, 1, 3)
-
-
-def equiv(A, B, mode, tol=1e-9, ancillas=()) -> EquivResult:
+def equiv(A, B, mode, tol=1e-9) -> EquivResult:
     """Compare two unitaries under the requested equivalence mode.
 
     Modes: 'exact' (max-norm), 'global_phase', 'diagonal' (B^dag A diagonal
-    with unit-modulus entries), 'clean_subspace' (listed ancillae start in
-    |0>, are preserved, and the restricted blocks agree), 'tensor_identity'
-    (A equals B' tensor identity over the listed ancillae, up to global
-    phase).  Returns distance and verdict.
+    with unit-modulus entries).  Returns distance and verdict.
     """
     A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
@@ -171,8 +154,6 @@ def equiv(A, B, mode, tol=1e-9, ancillas=()) -> EquivResult:
     if 2 ** n != A.shape[0]:
         raise ValueError("dimension is not a power of two")
 
-    if mode in ("clean_subspace", "tensor_identity") and not ancillas:
-        raise ValueError("%s needs ancilla indices" % mode)
     if mode == "exact":
         d = float(np.abs(A - B).max())
     elif mode == "global_phase":
@@ -182,27 +163,6 @@ def equiv(A, B, mode, tol=1e-9, ancillas=()) -> EquivResult:
         off = D - np.diag(np.diag(D))
         d = max(float(np.abs(off).max()),
                 float(np.abs(np.abs(np.diag(D)) - 1).max()))
-    elif mode == "clean_subspace":
-        BA = _split_ancilla(A, n, ancillas)
-        BB = _split_ancilla(B, n, ancillas)
-        # columns with ancillae |0> must come back with ancillae |0> ...
-        leak = float(np.abs(BA[1:, 0]).max()) if BA.shape[0] > 1 else 0.0
-        # ... and the restricted blocks must agree
-        d = max(leak, float(np.abs(BA[0, 0] - BB[0, 0]).max()))
-    elif mode == "tensor_identity":
-        BA = _split_ancilla(A, n, ancillas)
-        da = BA.shape[0]
-        offdiag = 0.0
-        if da > 1:
-            mask = ~np.eye(da, dtype=bool)
-            offdiag = float(np.abs(BA[mask]).max())
-        # every diagonal block must equal the a=0 block exactly, and that
-        # block must match B's restricted action up to one global phase
-        block = BA[0, 0]
-        same = max(float(np.abs(BA[a, a] - block).max())
-                   for a in range(da))
-        BB = _split_ancilla(B, n, ancillas)[0, 0]
-        d = max(offdiag, same, float(np.abs(_aligned(block, BB)).max()))
     else:
         raise ValueError("unknown mode %r" % (mode,))
     return EquivResult(d, d <= tol, mode)

@@ -9,9 +9,9 @@ tier the circuit and its register size select:
   RCCX gates checked against X targets only permutes basis states and
   multiplies them by powers of i, so it runs bit-sliced on Python ints
   with no numpy, on any register whose inputs number at most
-  :data:`SLICED_INPUTS`; every other circuit runs lowered on registers of
-  at most 11 qubits, its inputs as columns of the identity, _AMPS
-  amplitudes at a time;
+  :data:`SLICED_INPUTS`; every other exact target runs on registers of at
+  most 11 qubits through the sparse tier's kernel, _AMPS >> q inputs per
+  run, and an approximate one's unitary is held to its spectral bound;
 - sparse (every other circuit of 12 qubits and up): near-firing inputs
   through a basis-index -> amplitude simulator (Jaques & Haner,
   arXiv:2105.01533) on int64 keys, vectorised over the inputs.  It runs the
@@ -24,9 +24,9 @@ budget stops at 2^21 inputs (an mcx on 21 qubits with a dirty ancilla, on
 still peaks below the sparse tier: a fresh verify process peaks at 28 MB
 against 36 at 2^21 inputs, and at 41 MB against 37 at 2^22.
 
-The bit-sliced dense check and the sparse tier simulate macro gates; that
-lowering preserves them is tested on its own.  Only the column stacks, the
-approximate check and the sparse tier load ``sim`` (and with it numpy).
+Every exact check simulates macro gates; that lowering preserves them is
+tested on its own.  Only the kernel and the approximate check load ``sim``
+(and with it numpy); ``sim.apply`` runs only in the dense approximate one.
 
 Every tier holds each input to the one rule of :func:`_errors`, except
 that an approximate target's dense unitary is held to its spectral bound.
@@ -43,9 +43,9 @@ from .bench import Spec  # re-exported: the spec verify_circuit checks
 from .ir import (Circuit, Gate, adjoint, cnot_count, dist, fixed_matrix,
                  lower)
 
-DENSE_CAP = 11         # largest register of the dense column stacks
+DENSE_CAP = 11         # widest dense register off the bit slices
 SLICED_INPUTS = 1 << 21  # most inputs of a bit-sliced dense check
-_AMPS = 1 << 17        # amplitudes per dense stack: 128 columns at 10 qubits
+_AMPS = 1 << 17        # rows per dense run: 128 basis inputs at 10 qubits
 _SEED = 20240811
 _TOL = 1e-9            # largest entry error of an exact target, every tier
 _TINY = 1e-12          # amplitudes dropped after a gate spreads the rows
@@ -260,7 +260,7 @@ def _sliceable(c, spec):
 def _sliced(c, spec, k):
     """The first of inputs 0..k-1 that a circuit of X, CX, CCX and RCCX
     gates maps to anything but the all-X oracle's output, as (distance,
-    input), or None: the distance of :func:`_columns`, 1 for a wrong basis
+    input), or None: the distance of :func:`_errors`, 1 for a wrong basis
     state, else |i^power - 1|.  Each wire is one int of k bits, held twice
     (the circuit's and the oracle's), so verify_circuit keeps k within
     SLICED_INPUTS, past which the sparse tier peaks lower."""
@@ -279,18 +279,17 @@ def _sliced(c, spec, k):
     return 1.0 if moved >> j & 1 else abs(1j ** power - 1), j
 
 
-def _columns(c, spec, k):
-    """The first input whose identity column through the lowered circuit
-    breaks the rule of :func:`_errors`, _AMPS amplitudes at a time, as
-    (distance, input), or None."""
-    from .sim import apply
-    low, nq = lower(c), c.num_qubits
-    dim, step = 1 << nq, max(1, _AMPS >> nq)
+def _basis(c, spec, k):
+    """The first of basis inputs 0..k-1 that breaks the rule of
+    :func:`_errors`, as (distance, input), or None.  A run takes _AMPS >> q
+    inputs, and an input spreads to at most 2^q rows, so no run holds more
+    than _AMPS rows."""
+    nq = c.num_qubits
+    step = max(1, _AMPS >> nq)
     for j in range(0, k, step):
-        cols = np.eye(dim, min(step, k - j), -j)
-        out, want = apply(low, cols), apply_oracle(cols, spec.n, spec.ws)
-        err, bad = _errors(out.ravel(), want.ravel(), np.tile(
-            np.arange(cols.shape[1]), dim), cols.shape[1], None)
+        i = np.arange(j, min(j + step, k))
+        err, bad = _held(c, spec, (i >> np.arange(nq)[:, None] & 1) == 1,
+                         np.ones(len(i), dtype=complex), i - j, len(i))
         if bad.size:
             return err[bad[0]], j + bad[0]
     return None
@@ -318,10 +317,11 @@ def _inputs(c, spec):
 def _dense(c, spec):
     """Every basis input the spec allows (:func:`_inputs`), each held to
     the rule of :func:`_errors`: bit-sliced when the circuit and the oracle
-    are phased permutations (:func:`_sliceable`), else as identity
-    columns; for an approximate target, D = O^dag U formed in place, whose
-    D - e^{i phi} I has the spectral norm of U - e^{i phi} O, since O is
-    unitary, held to epsilon."""
+    are phased permutations (:func:`_sliceable`), else through the sparse
+    kernel (:func:`_basis`); for an approximate target, D = O^dag U formed
+    in place from the lowered circuit's identity columns, _AMPS amplitudes
+    at a time, whose D - e^{i phi} I has the spectral norm of
+    U - e^{i phi} O, since O is unitary, held to epsilon."""
     nq, n = c.num_qubits, spec.n
     dim, k = 1 << nq, _inputs(c, spec)
     if spec.epsilon is not None:
@@ -335,7 +335,7 @@ def _dense(c, spec):
         d = spectral_norm(D)
         return k, ["spectral error %.3e > epsilon %g" % (d, spec.epsilon)] \
             if d > spec.epsilon else []
-    miss = (_sliced if _sliceable(c, spec) else _columns)(c, spec, k)
+    miss = (_sliced if _sliceable(c, spec) else _basis)(c, spec, k)
     # one line, on the first failing input
     return k, ["dense check distance %.3e (input %d)" % miss] if miss else []
 
@@ -389,12 +389,12 @@ def _sparse_inputs(spec, nq, rng):
             np.repeat(np.arange(K), D)), labels
 
 
-def _sparse(c, spec):
-    """Every input must come out as the oracle says, by the rule of
-    :func:`_errors`."""
-    n, rng = spec.n, np.random.default_rng(_SEED)
-    (bits, amp, owner), labels = _sparse_inputs(spec, c.num_qubits, rng)
-    k, fire = len(labels), bits[:n].all(axis=0)
+def _held(c, spec, bits, amp, owner, k):
+    """The k inputs given as sparse rows (:func:`sparse_apply`) run through
+    the circuit and the oracle, each held to the rule of :func:`_errors`:
+    each input's error and the inputs that break the rule."""
+    n = spec.n
+    fire = bits[:n].all(axis=0)
     # the oracle: W_j on wire n + j of every row whose controls are all set
     want = sparse_apply(Circuit(c.num_qubits, [
         Gate("U2", (n + j,), matrix=W) for j, W in enumerate(spec.ws)]),
@@ -405,7 +405,16 @@ def _sparse(c, spec):
                      np.concatenate([out[2], owner[~fire], want[2]]))
     keys, o, w = _merge(keys, np.concatenate([out[1], 0 * rest]),
                         np.concatenate([0 * out[1], rest]))
-    err, bad = _errors(o, w, keys[-1] >> (at % _WORD), k, spec.epsilon)
+    return _errors(o, w, keys[-1] >> (at % _WORD), k, spec.epsilon)
+
+
+def _sparse(c, spec):
+    """Every near-firing input (:func:`_sparse_inputs`) must come out as
+    the oracle says, by the rule of :func:`_errors`."""
+    (bits, amp, owner), labels = _sparse_inputs(
+        spec, c.num_qubits, np.random.default_rng(_SEED))
+    k = len(labels)
+    err, bad = _held(c, spec, bits, amp, owner, k)
     return k, ["sparse check failed on %d of %d inputs; first: %s, "
                "distance %.3e" % (bad.size, k, labels[i], err[i])
                for i in bad[:1]]

@@ -67,13 +67,13 @@ def test_mcmt_counts_dense_m_sweep():
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_mcx_oracle_equivalence(n):
+    # every column the ancilla allows (clean: the top wire n + 1 is 0),
+    # with no phase freedom
     B = ctrl_u(n + 2, range(n), n, X)
-    A = unitary_of(lower(mcx_log(McxSpec(n, "clean"))))
-    r = equiv(A, B, "clean_subspace", TOL_EXACT, ancillas=(n + 1,))
-    assert r.passed, (n, "clean", r.distance)
-    A = unitary_of(lower(mcx_log(McxSpec(n, "dirty"))))
-    r = equiv(A, B, "tensor_identity", TOL_EXACT, ancillas=(n + 1,))
-    assert r.passed, (n, "dirty", r.distance)
+    for mode, cols in (("clean", 1 << (n + 1)), ("dirty", 1 << (n + 2))):
+        A = unitary_of(lower(mcx_log(McxSpec(n, mode))))
+        d = np.abs(A - B)[:, :cols].max()
+        assert d < TOL_EXACT, (n, mode, d)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -71,6 +71,21 @@ def test_nb_errors():
         nb_from_epsilon(math.pi, 0.0)
     with pytest.raises(ValueError):
         nb_from_epsilon(math.pi, 2.0)
+    # below about 1.5e-8, 1 - eps^2/2 rounds to 1 and arccos to 0
+    for eps in (1e-300, 1e-9, 1e-8):
+        with pytest.raises(ValueError, match="too small"):
+            nb_from_epsilon(math.pi, eps)
+    assert nb_from_epsilon(math.pi, 2e-8) == 28
+
+
+@pytest.mark.parametrize("argv", [
+    "synth approx-u --controls 12 --gate z --epsilon 1e-300",
+    "verify approx-u --controls 40 --gate h --epsilon 1e-8",
+    "bench --family approx_u --n-min 20 --n-max 20 --epsilon 1e-9"])
+def test_an_epsilon_too_small_for_arccos_is_a_usage_error(capsys, argv):
+    assert run(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: epsilon ") and "too small" in err, err
 
 
 def test_root_gate_squares_back(rng):

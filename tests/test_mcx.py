@@ -51,20 +51,20 @@ def test_small_n_touches_no_ancilla():
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_clean_equivalence(n):
-    c = mcx_log(McxSpec(n, "clean"))
-    A = unitary_of(lower(c))
+    # the columns whose clean ancilla (the top wire) is 0, no phase freedom
+    A = unitary_of(lower(mcx_log(McxSpec(n, "clean"))))
     B = ctrl_u(n + 2, range(n), n, X)
-    r = equiv(A, B, "clean_subspace", 1e-9, ancillas=(n + 1,))
-    assert r.passed, (n, r.distance)
+    d = np.abs(A - B)[:, :1 << (n + 1)].max()
+    assert d < 1e-9, (n, d)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_dirty_equivalence(n):
-    c = mcx_log(McxSpec(n, "dirty"))
-    A = unitary_of(lower(c))
+    # every column: oracle tensor identity on the ancilla, no phase freedom
+    A = unitary_of(lower(mcx_log(McxSpec(n, "dirty"))))
     B = ctrl_u(n + 2, range(n), n, X)
-    r = equiv(A, B, "tensor_identity", 1e-9, ancillas=(n + 1,))
-    assert r.passed, (n, r.distance)
+    d = np.abs(A - B).max()
+    assert d < 1e-9, (n, d)
 
 
 def test_truth_table_exhaustive():

@@ -76,33 +76,12 @@ def test_equiv_diagonal():
     assert not equiv(h3, ccx, "diagonal").passed
 
 
-def test_equiv_clean_subspace():
-    # CX(0,1) with a spectator qubit 2 doing a self-cancelling pair
-    c = Circuit(3, [Gate("CX", (0, 2)), Gate("CX", (0, 1)),
-                    Gate("CX", (0, 2))])
-    A = unitary_of(c)
-    B = ctrl_u(3, [0], 1, X)
-    assert equiv(A, B, "clean_subspace", 1e-12, ancillas=(2,)).passed
-    # a circuit that leaks into the ancilla must fail
-    bad = unitary_of(Circuit(3, [Gate("CX", (0, 2)), Gate("CX", (0, 1))]))
-    assert not equiv(bad, B, "clean_subspace", 1e-9, ancillas=(2,)).passed
-
-
-def test_equiv_tensor_identity():
-    A = unitary_of(Circuit(3, [Gate("CX", (0, 1))]))
-    B = ctrl_u(3, [0], 1, X)
-    assert equiv(A, B, "tensor_identity", 1e-12, ancillas=(2,)).passed
-    # acting on the "ancilla" breaks the tensor split
-    A2 = unitary_of(Circuit(3, [Gate("CX", (0, 1)), Gate("H", (2,))]))
-    assert not equiv(A2, B, "tensor_identity", 1e-9, ancillas=(2,)).passed
-
-
 def test_equiv_rejects_mismatch():
     with pytest.raises(ValueError):
         equiv(np.eye(2), np.eye(4), "exact")
     with pytest.raises(ValueError):
         equiv(np.eye(2), np.eye(2), "sideways")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown mode"):
         equiv(np.eye(4), np.eye(4), "clean_subspace")
 
 

@@ -100,8 +100,9 @@ def test_mcmt_x_equivalent(n, m):
     assert c.num_qubits == n + m + 1
     A = unitary_of(lower(c))
     B = mcmt_oracle(n + m + 1, n, range(n, n + m), [X] * m)
-    r = equiv(A, B, "clean_subspace", 1e-9, ancillas=(n + m,))
-    assert r.passed, (n, m, r.distance)
+    # the columns whose clean ancilla (the top wire) is 0, no phase freedom
+    d = np.abs(A - B)[:, :1 << (n + m)].max()
+    assert d < 1e-9, (n, m, d)
 
 
 def test_mcmt_x_counts():

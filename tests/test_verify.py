@@ -237,29 +237,46 @@ def test_exact_targets_equal_their_oracle_with_no_phase(target, n, m,
 
 
 def test_dense_stacks_stay_within_the_amplitude_budget(monkeypatch):
-    # a wrong circuit on 10 qubits whose first failing input lies past the
-    # first stack: the FAIL line names its index among all the inputs.
-    # mcmt-su2 runs on the column stacks; mcx and mcmt-x are bit-sliced
-    c, spec = bench.build("mcmt-su2", 8, 2)
-    sizes = []
+    # mcmt-su2 runs through the sparse kernel on basis inputs 0..k-1,
+    # _AMPS >> q of them per run; an input spreads to at most 2^q rows, so
+    # no gate leaves a run with more than _AMPS rows, even with an H on
+    # each of ten targets.  A wrong circuit on 10 qubits whose first failing
+    # input lies past the first run: the FAIL line names its index among
+    # all the inputs.  mcx and mcmt-x are bit-sliced
+    runs, rows = [], []
+    held, gate = verify._held, verify._gate
 
-    def spy(circuit, state):
-        sizes.append(state.size)
-        return apply(circuit, state)
-    monkeypatch.setattr(sim, "apply", spy)
+    def held_spy(c, spec, bits, amp, owner, k):
+        runs.append(k)
+        return held(c, spec, bits, amp, owner, k)
+
+    def gate_spy(*args):
+        out = gate(*args)
+        rows.append(len(out[1]))
+        return out
+    monkeypatch.setattr(verify, "_held", held_spy)
+    monkeypatch.setattr(verify, "_gate", gate_spy)
+    c, spec = bench.build("mcmt-su2", 1, 10, gate=H)
+    assert verify_circuit(c, spec).lines() == ["ok tier=dense inputs=2048"]
+    assert runs == [verify._AMPS >> 11] * 32
+    assert verify._AMPS // 4 <= max(rows) <= verify._AMPS
+    c, spec = bench.build("mcmt-su2", 8, 2)
+    runs.clear()
     assert verify_circuit(c, spec).lines() == ["ok tier=dense inputs=1024"]
-    assert len(sizes) == 8 and max(sizes) == verify._AMPS
+    assert runs == [verify._AMPS >> 10] * 8
     bad = Circuit(c.num_qubits, c.gates + (Gate("CX", (8, 0)),) * 2 + (
         Gate("CCX", (7, 9, 2)),), c.ancilla_roles)
     cols = np.eye(1 << 10)
     err = np.abs(apply(lower(bad), cols) - apply_oracle(cols, 8, spec.ws))
     first = int(np.flatnonzero(err.max(axis=0) > 1e-9)[0])
-    assert first >= 128
-    sizes.clear()
+    assert first >= verify._AMPS >> 10
+    runs.clear()
+    rows.clear()
     v = verify_circuit(bad, spec)
     assert v.fails[-1] == "dense check distance %.3e (input %d)" % (
         err[:, first].max(), first)
-    assert max(sizes) == verify._AMPS
+    assert runs == [verify._AMPS >> 10] * (first // (verify._AMPS >> 10) + 1)
+    assert max(rows) <= verify._AMPS
 
 
 def _mutants(c, rng, count):
@@ -298,6 +315,51 @@ def test_dense_approx_error_is_the_spectral_distance(monkeypatch):
     assert max(got) > 0.5
 
 
+def _any_mutants(c, rng, count):
+    """Seeded mutants of any circuit: one gate dropped, moved onto a wire
+    it does not touch, or swapped with its successor."""
+    for j in range(count):
+        gates = list(c.gates)
+        i = int(rng.integers(len(gates) - (j % 3 == 2)))
+        g = gates[i]
+        if j % 3 == 0:
+            del gates[i]
+        elif j % 3 == 1:
+            free = [q for q in range(c.num_qubits) if q not in g.qubits]
+            t = int(rng.choice(free))
+            gates[i] = Gate(g.kind, g.qubits[:-1] + (t,), g.angle, g.matrix)
+        else:
+            gates[i:i + 2] = gates[i + 1], g
+        yield Circuit(c.num_qubits, gates, c.ancilla_roles)
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (1, 4), (2, 2), (3, 1), (3, 3),
+                                  (4, 2), (5, 4), (6, 3), (7, 2), (2, 7),
+                                  (8, 1), (1, 9), (8, 2)])
+def test_dense_mcmt_su2_verdicts_match_a_statevector_reference(n, m):
+    # each dense verdict on the build and six seeded mutants against the
+    # lowered unitary's columns and the reference oracle: the same pass or
+    # fail, the same first failing input, the same distance within 1e-9
+    rng = np.random.default_rng(100 * n + m)
+    gate = (H, random_su2(rng), rz_mat(0.7))[(n + m) % 3]
+    c, spec = bench.build("mcmt-su2", n, m, gate=gate)
+    nq, fails = c.num_qubits, 0
+    want = mcmt_oracle(nq, n, range(n, n + m), np.asarray(spec.ws))
+    for mut in [c] + list(_any_mutants(c, rng, 6)):
+        err = np.abs(unitary_of(lower(mut)) - want).max(axis=0)
+        bad = np.flatnonzero(err > 1e-9)
+        got = verify._basis(mut, spec, 1 << nq)
+        lines = [f for f in verify_circuit(mut, spec).fails
+                 if f.startswith("dense")]
+        if bad.size == 0:
+            assert got is None and lines == []
+            continue
+        fails += 1
+        assert got[1] == bad[0] and abs(got[0] - err[bad[0]]) < 1e-9
+        assert lines == ["dense check distance %.3e (input %d)" % got]
+    assert fails
+
+
 def _permutation_cases():
     """Every mcx and mcmt-x request of the dense range."""
     for n in range(1, 10):
@@ -312,8 +374,8 @@ def test_bit_sliced_check_matches_the_column_stacks(monkeypatch, target, n,
                                                     m, ancilla):
     # the circuit, seeded mutants, one RCCX made a CCX (a phase of +-i on
     # some inputs) and three circuits with one gate dropped: the bit-sliced
-    # verdict, which never calls apply, against the column stacks' (forced
-    # by an empty set of permutation kinds)
+    # verdict, which never calls apply, against the sparse kernel's on every
+    # basis input (forced by an empty set of permutation kinds)
     c, spec = bench.build(target, n, m, ancilla)
     rng = np.random.default_rng(n * 16 + m)
     circuits = [c]
