@@ -9,9 +9,9 @@ Gate matrices are nested tuples ``((a, b), (c, d))`` of Python complex
 numbers, multiplied by the 2x2 helpers in ``ir``, so synthesis, export and
 count-only bench of every family never load numpy: only ``sim`` and
 ``verify`` do, and ``sim.gate_matrix`` turns each tuple into an array once.
-Even ``verify`` leaves it, and ``sim``, unloaded when it checks an ``mcx``
-or ``mcmt-x`` circuit in the dense tier, which runs bit-sliced on Python
-ints.
+Even ``verify`` leaves it, and ``sim``, unloaded when its split check takes
+a circuit (every ``mcx`` and ``mcmt-x`` build, and ``mcmt-su2`` builds up
+to 6 targets), which runs on Python ints and tuples.
 Three rules keep it that way:
 
 - ``sim`` and ``verify`` take numpy as ``from ._np import np``, never

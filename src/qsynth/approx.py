@@ -53,19 +53,22 @@ def su2_angle(U):
 def nb_from_epsilon(theta, epsilon):
     """Base control count from the error budget.
 
-    n_b = max(1, ceil(log2(|theta| / arccos(1 - epsilon^2/2)))).
+    n_b = max(1, ceil(log2(|theta| / phi))) with phi = 2 asin(epsilon/2),
+    the angle arccos(1 - epsilon^2/2) without its cancellation for small
+    epsilon; the log2 is taken as a difference, so a ratio past the largest
+    float still counts.
     """
     if not 0 < epsilon < 2:
         raise ValueError("epsilon must lie in (0, 2)")
     if theta == 0:
         raise ValueError("theta = 0: the controlled gate is a pure phase; "
                          "use exact synthesis instead")
-    phi = math.acos(1.0 - epsilon ** 2 / 2.0)
+    phi = 2.0 * math.asin(epsilon / 2.0)
     if phi == 0:
-        # 1 - epsilon^2/2 rounds to 1 below about epsilon = 1.5e-8
-        raise ValueError("epsilon %g is too small: arccos(1 - epsilon^2/2) "
-                         "rounds to 0" % epsilon)
-    return max(1, math.ceil(math.log2(abs(theta) / phi)))
+        # epsilon / 2 rounds to 0 only for the smallest subnormal epsilon
+        raise ValueError("epsilon %g is too small: 2 asin(epsilon/2) rounds "
+                         "to 0" % epsilon)
+    return max(1, math.ceil(math.log2(abs(theta)) - math.log2(phi)))
 
 
 def _mat_power(U, p):

@@ -98,6 +98,22 @@ def rz_mat(a):
     return ((cmath.exp(-0.5j * a), 0j), (0j, cmath.exp(0.5j * a)))
 
 
+def target_matrix(g):
+    """The 2x2 matrix gate ``g`` applies to its target when every control
+    is set: its own for a one-qubit kind, X for CX and CCX, its matrix for
+    CU2.  RCCX has none: what it does to its target depends on each
+    control."""
+    if g.kind in FIXED_KINDS:
+        return fixed_matrix(g.kind)
+    if g.kind in ANGLE_KINDS:
+        return {"Rx": rx_mat, "Ry": ry_mat, "Rz": rz_mat}[g.kind](g.angle)
+    if g.kind in MATRIX_KINDS:
+        return g.matrix
+    if g.kind in ("CX", "CCX"):
+        return fixed_matrix("X")
+    raise ValueError("no matrix for kind %r" % (g.kind,))
+
+
 def check_unitary(m, tol=_UNITARITY_TOL):
     """``m`` as a 2x2 matrix tuple; ValueError unless its entries are
     finite and no entry of m^dag m - I exceeds ``tol`` in magnitude."""

@@ -18,14 +18,12 @@ from collections import namedtuple
 from functools import lru_cache
 
 from ._np import np
-from .ir import (FIXED_KINDS, MATRIX_KINDS, Circuit, Gate, fixed_matrix,
-                 lower, rx_mat, ry_mat, rz_mat)
+from .ir import Circuit, Gate, lower, target_matrix
 
 UNITARY_CAP = 13
 APPLY_CAP = 22
 FUSE_WIDTH = 5         # widest fused block; of 3 to 6, fastest on verify
 _POWER_SEED = 20240811
-_ROTATIONS = {"Rx": rx_mat, "Ry": ry_mat, "Rz": rz_mat}
 
 
 @lru_cache(maxsize=4096)
@@ -53,17 +51,9 @@ def gate_matrix(g: Gate) -> np.ndarray:
     Index ordering inside the matrix follows the operand list: the first
     operand is the most significant bit of the local index.
     """
-    if g.kind in FIXED_KINDS:
-        return _array(fixed_matrix(g.kind))
-    if g.kind in _ROTATIONS:
-        return _array(_ROTATIONS[g.kind](g.angle))
-    if g.kind in MATRIX_KINDS:
-        return _array(g.matrix, len(g.qubits) - 1)
-    if g.kind in ("CX", "CCX"):
-        return _array(fixed_matrix("X"), len(g.qubits) - 1)
     if g.kind == "RCCX":
         return rccx_matrix()
-    raise ValueError("no matrix for kind %r" % (g.kind,))
+    return _array(target_matrix(g), len(g.qubits) - 1)
 
 
 def _contract(tensor, m, axes):

@@ -5,24 +5,29 @@ controls on wires [0, n), W_j on wire n + j and at most one ancilla after
 them.  It checks the CX count against :data:`CNOT_TABLE`, then runs the
 tier the circuit and its register size select:
 
-- dense: every basis input the spec allows.  A circuit of X, CX, CCX and
-  RCCX gates checked against X targets only permutes basis states and
-  multiplies them by powers of i, so it runs bit-sliced on Python ints
-  with no numpy, on any register whose inputs number at most
-  :data:`SLICED_INPUTS`; every other exact target runs on registers of at
-  most 11 qubits through the sparse tier's kernel, _AMPS >> q inputs per
-  run, and an approximate one's unitary is held to its spectral bound;
+- dense: every basis input the spec allows.  An exact target whose
+  controls and ancilla only ever get X, CX, CCX and RCCX gates among
+  classical wires runs split (:func:`_split`), with no numpy, on any
+  register whose classical wires take at most :data:`SLICED_INPUTS` inputs:
+  the classical wires bit-sliced on Python ints, the few targets that hold
+  amplitudes as one small operator per class of inputs, in pure Python.
+  That covers every ``mcx``, ``mcmt-x`` and ``mcmt-su2`` build up to 6
+  targets.  Any other exact circuit of at most 11 qubits runs through the
+  sparse tier's kernel, _AMPS >> q inputs per run, and an approximate one's
+  unitary is held to its spectral bound;
 - sparse (every other circuit of 12 qubits and up): near-firing inputs
   through a basis-index -> amplitude simulator (Jaques & Haner,
   arXiv:2105.01533) on int64 keys, vectorised over the inputs.  It runs the
   macro gates with the dense simulator's own matrices.
 
-The bit-sliced check holds one int of k bits per wire, so its time and
+The split check holds one int of k bits per classical wire, so its time and
 memory grow with k, the sparse tier's with the width of the register.  The
 budget stops at 2^21 inputs (an mcx on 21 qubits with a dirty ancilla, on
 22 with a clean one), the last power of two at which the bit-sliced check
 still peaks below the sparse tier: a fresh verify process peaks at 28 MB
-against 36 at 2^21 inputs, and at 41 MB against 37 at 2^22.
+against 36 at 2^21 inputs, and at 41 MB against 37 at 2^22.  Its operators
+hold 4^|quantum| entries per class, so it declines past _WORK of them,
+where the kernel or the sparse tier is faster.
 
 Every exact check simulates macro gates; that lowering preserves them is
 tested on its own.  Only the kernel and the approximate check load ``sim``
@@ -40,11 +45,11 @@ from operator import and_, or_
 
 from ._np import np
 from .bench import Spec  # re-exported: the spec verify_circuit checks
-from .ir import (Circuit, Gate, adjoint, cnot_count, dist, fixed_matrix,
-                 lower)
+from .ir import (IDENTITY, Circuit, Gate, adjoint, check_unitary, cnot_count,
+                 dist, fixed_matrix, lower, target_matrix)
 
-DENSE_CAP = 11         # widest dense register off the bit slices
-SLICED_INPUTS = 1 << 21  # most inputs of a bit-sliced dense check
+DENSE_CAP = 11         # widest dense register off the split check
+SLICED_INPUTS = 1 << 21  # most classical inputs of a split check
 _AMPS = 1 << 17        # rows per dense run: 128 basis inputs at 10 qubits
 _SEED = 20240811
 _TOL = 1e-9            # largest entry error of an exact target, every tier
@@ -53,6 +58,7 @@ MAX_ROWS = 1 << 21     # sparse rows held at once: 48 MB with one key word
 _WORD = 63             # key bits per int64 word; the sign bit stays clear
 _ALL_PAIRS = 64        # up to this many controls, every pair is cleared
 _PERMUTING = frozenset({"X", "CX", "CCX", "RCCX"})  # phased permutations
+_WORK = 1 << 14        # most classes x 4^|quantum| of a split check
 
 
 # target -> exact CX count of (n, m, ancilla, n_b); n <= 2 circuits are
@@ -234,49 +240,190 @@ def _basis_ints(nq, k):
     return wires
 
 
-def _permute(c, wires, k):
-    """A circuit of X, CX, CCX and RCCX gates run on bit-sliced inputs
-    0..k-1, in place on ``wires``; returns the power of i on each input,
-    mod 4, bit-sliced as (lo, hi)."""
-    ones, lo, hi = (1 << k) - 1, 0, 0
+# the split check: classical wires bit-sliced on Python ints, quantum ones
+# as one small operator per class of inputs
+
+_X, _Y = fixed_matrix("X"), ((0j, -1j), (1j, 0j))
+
+
+@lru_cache(maxsize=4096)
+def _blocks(g):
+    """The 2x2 matrix gate ``g`` applies to its target for each value of
+    its controls, the first control most significant.  RCCX(a, b, t) is
+    I unless a, then Z unless b, then Y: the phases of :func:`_slice`."""
+    if g.kind == "RCCX":
+        return IDENTITY, IDENTITY, ((1 + 0j, 0j), (0j, -1 + 0j)), _Y
+    k = len(g.qubits) - 1
+    return (IDENTITY,) * ((1 << k) - 1) + (target_matrix(g),)
+
+
+def _quantum(c, spec):
+    """The wires that need amplitudes: the targets whose W is not exactly
+    X, closed over the target of every gate outside _PERMUTING and of every
+    gate with a quantum control; None if a control or an ancilla is one."""
+    n, X = spec.n, fixed_matrix("X")
+    quantum, size = {n + j for j, W in enumerate(spec.ws) if dist(W, X)}, -1
+    while size < len(quantum):
+        size = len(quantum)
+        quantum.update(g.qubits[-1] for g in c.gates
+                       if g.kind not in _PERMUTING
+                       or not quantum.isdisjoint(g.qubits[:-1]))
+    return sorted(quantum) if all(n <= q < n + len(spec.ws)
+                                  for q in quantum) else None
+
+
+def _slice(c, wires, k, quantum=()):
+    """Run each gate of ``c`` with a classical target on bit-sliced inputs
+    0..k-1, in place on ``wires`` (one int of k bits per classical wire);
+    return the power of i on each input, mod 4, bit-sliced as (lo, hi), and
+    each gate on a ``quantum`` wire with the ints its controls hold then
+    (None for a quantum control)."""
+    ones, lo, hi, conds = (1 << k) - 1, 0, 0, []
     for g in c.gates:
         *ctl, t = g.qubits
+        if t in quantum:
+            conds.append((g, [None if q in quantum else wires[q]
+                              for q in ctl]))
+            continue
         fire = reduce(and_, (wires[q] for q in ctl), ones)
         if g.kind == "RCCX":   # i^2 where a and t, then i where a and b
             hi ^= (wires[ctl[0]] & wires[t]) ^ (lo & fire)
             lo ^= fire
         wires[t] ^= fire
-    return lo, hi
+    return lo, hi, conds
 
 
-def _sliceable(c, spec):
-    """Whether the circuit and the oracle are phased permutations: X, CX,
-    CCX and RCCX gates against exact X targets."""
-    return spec.epsilon is None \
-        and all(dist(W, fixed_matrix("X")) == 0 for W in spec.ws) \
-        and all(g.kind in _PERMUTING for g in c.gates)
+@lru_cache(maxsize=64)
+def _swaps(D, bit, ctl):
+    """The entry each entry of a D x D operator takes from when an X on
+    ``bit`` acts on the rows whose ``ctl`` bits hold their values."""
+    return [j ^ bit if all((j >> q & 1) == v for q, v in ctl) else j
+            for j in range(D * D)]
 
 
-def _sliced(c, spec, k):
-    """The first of inputs 0..k-1 that a circuit of X, CX, CCX and RCCX
-    gates maps to anything but the all-X oracle's output, as (distance,
-    input), or None: the distance of :func:`_errors`, 1 for a wrong basis
-    state, else |i^power - 1|.  Each wire is one int of k bits, held twice
-    (the circuit's and the oracle's), so verify_circuit keeps k within
-    SLICED_INPUTS, past which the sparse tier peaks lower."""
-    want, n = _basis_ints(c.num_qubits, k), spec.n
-    wires = list(want)
+def _operator(D, steps):
+    """The operator of ``steps`` on the quantum wires, each (target bit,
+    ((control bit, value), ...), 2x2), as a list whose D entries from y * D
+    are column y."""
+    op = [0j] * (D * D)
+    op[::D + 1] = [1 + 0j] * D
+    for t, ctl, M in steps:
+        bit, ((a, b), (c, d)) = 1 << t, M
+        if M == _X:
+            op = list(map(op.__getitem__, _swaps(D, bit, ctl)))
+        elif not ctl:   # each run of rows with bit t clear, all columns
+            for r in range(bit):
+                x, y = op[r::2 * bit], op[r + bit::2 * bit]
+                op[r::2 * bit] = [a * u + b * v for u, v in zip(x, y)]
+                op[r + bit::2 * bit] = [c * u + d * v for u, v in zip(x, y)]
+        else:
+            for j in range(D * D):
+                if not j & bit and all((j >> q & 1) == v for q, v in ctl):
+                    x, y = op[j], op[j | bit]
+                    op[j], op[j | bit] = a * x + b * y, c * x + d * y
+    return op
+
+
+def _scatter(x, wires):
+    """Bit i of ``x`` moved to bit wires[i]."""
+    return sum((x >> i & 1) << q for i, q in enumerate(wires))
+
+
+def _split(c, spec):
+    """The dense tier's check of every basis input the spec allows, in
+    classes: the FAIL line of the first input that breaks the rule of
+    :func:`_errors`, if any, or None if the check declines.
+
+    Classical wires are bit-sliced over their inputs (:func:`_slice`).  Two
+    inputs share a class when they agree on the controls of every gate on a
+    quantum wire (:func:`_quantum`), on oracle firing, on the power of i and
+    on whether a classical wire ends wrong.  Each class's operator on the
+    quantum wires, times its power of i, must equal the oracle's block,
+    column by column; a wrong classical wire fails every column, by the
+    largest entry of either.  Declines an approximate target, a quantum
+    control or ancilla, more than SLICED_INPUTS classical inputs, and more
+    than _WORK classes x 4^|quantum|, the operators' entries."""
+    quantum = None if spec.epsilon is not None else _quantum(c, spec)
+    if quantum is None:
+        return None
+    nq, n, D = c.num_qubits, spec.n, 1 << len(quantum)
+    classical = [q for q in range(nq) if q not in quantum]
+    k = 1 << (len(classical) - (spec.ancilla == "clean"))
+    if k > SLICED_INPUTS:
+        return None
+    wires = [None] * nq
+    for q, v in zip(classical, _basis_ints(len(classical), k)):
+        wires[q] = v
+    want = list(wires)
     fire = reduce(and_, want[:n], (1 << k) - 1)
     for q in range(n, n + len(spec.ws)):
-        want[q] ^= fire
-    lo, hi = _permute(c, wires, k)
-    moved = reduce(or_, (w ^ v for w, v in zip(wires, want)), 0)
-    miss = moved | lo | hi
-    if not miss:
-        return None
-    j = (miss & -miss).bit_length() - 1
-    power = (lo >> j & 1) + 2 * (hi >> j & 1)
-    return 1.0 if moved >> j & 1 else abs(1j ** power - 1), j
+        if q not in quantum:
+            want[q] ^= fire
+    lo, hi, conds = _slice(c, wires, k, set(quantum))
+    moved = reduce(or_, (w ^ v for w, v in zip(wires, want) if w is not None),
+                   0)
+
+    # each gate on a quantum wire reads its classical controls as (local
+    # bits, mask) pairs: one AND of them when only the all-set value acts
+    reads = []
+    for g, ints in conds:
+        cl = [(1 << (len(ints) - 1 - p), v) for p, v in enumerate(ints)
+              if v is not None]
+        if len(cl) > 1 and all(m is IDENTITY for m in _blocks(g)[:-1]):
+            cl = [(sum(b for b, _ in cl), reduce(and_, (v for _, v in cl)))]
+        reads.append(cl)
+    # classes: the inputs split by each of those masks, then by firing, the
+    # power of i and a wrong classical wire
+    classes = [((1 << k) - 1, ())]
+    for mask in [v for cl in reads for _, v in cl] + [fire, lo, hi, moved]:
+        split = []
+        for inputs, bits in classes:
+            part = inputs & mask
+            if part and part != inputs:
+                split.append((inputs ^ part, bits + (0,)))
+            split.append((part or inputs, bits + (1 if part else 0,)))
+        classes = split
+        if len(classes) * D * D > _WORK:
+            return None
+
+    pos = {q: i for i, q in enumerate(quantum)}
+    oracle = _operator(D, [(pos[n + j], (), check_unitary(W))
+                           for j, W in enumerate(spec.ws) if n + j in pos])
+    one = _operator(D, [])
+    first = None
+    for inputs, bits in classes:
+        steps, read = [], iter(bits)
+        for (g, ints), cl in zip(conds, reads):
+            base = sum(b for b, _ in cl if next(read))
+            qctl = [(pos[q], len(ints) - 1 - p) for p, (q, v)
+                    in enumerate(zip(g.qubits, ints)) if v is None]
+            blocks = _blocks(g)
+            for v in range(1 << len(qctl)):
+                M = blocks[base | sum((v >> i & 1) << s
+                                      for i, (_, s) in enumerate(qctl))]
+                if M is not IDENTITY:
+                    steps.append((pos[g.qubits[-1]], tuple(
+                        (q, v >> i & 1) for i, (q, _) in enumerate(qctl)), M))
+        T = _operator(D, steps)
+        *_, fires, p_lo, p_hi, wrong = bits
+        O = oracle if fires else one
+        ph = 1j ** (p_lo + 2 * p_hi)
+        for y in range(0, D * D, D):
+            col, want_col = T[y:y + D], O[y:y + D]
+            err = max(max(map(abs, col)), max(map(abs, want_col))) if wrong \
+                else max(abs(ph * u - w) for u, w in zip(col, want_col))
+            if err > _TOL:
+                x = (inputs & -inputs).bit_length() - 1
+                j = _scatter(x, classical) + _scatter(y // D, quantum)
+                if first is None or j < first[1]:
+                    first = err, j
+                break
+    return _dense_fails(first)
+
+
+def _dense_fails(miss):
+    """The dense tier's FAIL line, on the first failing input."""
+    return ["dense check distance %.3e (input %d)" % miss] if miss else []
 
 
 def _basis(c, spec, k):
@@ -315,13 +462,12 @@ def _inputs(c, spec):
 
 
 def _dense(c, spec):
-    """Every basis input the spec allows (:func:`_inputs`), each held to
-    the rule of :func:`_errors`: bit-sliced when the circuit and the oracle
-    are phased permutations (:func:`_sliceable`), else through the sparse
-    kernel (:func:`_basis`); for an approximate target, D = O^dag U formed
-    in place from the lowered circuit's identity columns, _AMPS amplitudes
-    at a time, whose D - e^{i phi} I has the spectral norm of
-    U - e^{i phi} O, since O is unitary, held to epsilon."""
+    """Every basis input the spec allows (:func:`_inputs`) of a circuit the
+    split check declines, each held to the rule of :func:`_errors` through
+    the sparse kernel (:func:`_basis`); for an approximate target, D =
+    O^dag U formed in place from the lowered circuit's identity columns,
+    _AMPS amplitudes at a time, whose D - e^{i phi} I has the spectral norm
+    of U - e^{i phi} O, since O is unitary, held to epsilon."""
     nq, n = c.num_qubits, spec.n
     dim, k = 1 << nq, _inputs(c, spec)
     if spec.epsilon is not None:
@@ -335,9 +481,7 @@ def _dense(c, spec):
         d = spectral_norm(D)
         return k, ["spectral error %.3e > epsilon %g" % (d, spec.epsilon)] \
             if d > spec.epsilon else []
-    miss = (_sliced if _sliceable(c, spec) else _basis)(c, spec, k)
-    # one line, on the first failing input
-    return k, ["dense check distance %.3e (input %d)" % miss] if miss else []
+    return k, _dense_fails(_basis(c, spec, k))
 
 
 def _patterns(k, rng):
@@ -422,18 +566,21 @@ def _sparse(c, spec):
 
 def verify_circuit(c, spec) -> Verdict:
     """CX count plus the check of the tier the circuit and its register
-    size select: dense on at most DENSE_CAP qubits, or bit-sliced on at
-    most SLICED_INPUTS inputs, else sparse."""
+    size select: dense if the split check takes the circuit or it has at
+    most DENSE_CAP qubits, else sparse."""
     want = CNOT_TABLE[spec.target](spec.n, len(spec.ws), spec.ancilla,
                                    spec.n_b)
     got = cnot_count(c)
     fails = []
     if got != want:
         fails.append("cnot count %d != %d" % (got, want))
-    dense = c.num_qubits <= DENSE_CAP \
-        or _inputs(c, spec) <= SLICED_INPUTS and _sliceable(c, spec)
-    tier = "dense" if dense else "sparse"
-    inputs, more = (_dense if tier == "dense" else _sparse)(c, spec)
+    split = _split(c, spec)
+    if split is not None:
+        tier, inputs, more = "dense", _inputs(c, spec), split
+    elif c.num_qubits <= DENSE_CAP:
+        tier, (inputs, more) = "dense", _dense(c, spec)
+    else:
+        tier, (inputs, more) = "sparse", _sparse(c, spec)
     note = ""
     if spec.epsilon is not None and tier != "dense":
         note = ("; the per-column epsilon check is necessary, "

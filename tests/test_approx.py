@@ -6,8 +6,8 @@ import pytest
 from qsynth.approx import (ApproxParams, _ladder, _mat_power, approx_mcu,
                            nb_from_epsilon, su2_angle)
 from qsynth.cli import parse_gate_spec, run
-from qsynth.ir import Circuit, cnot_count, lower, report_for
-from qsynth.sim import apply, rx_mat, rz_mat, spectral_distance, unitary_of
+from qsynth.ir import Circuit, cnot_count, lower, report_for, rz_mat
+from qsynth.sim import apply, spectral_distance, unitary_of
 
 from conftest import X, ctrl_u, random_su2
 
@@ -71,11 +71,14 @@ def test_nb_errors():
         nb_from_epsilon(math.pi, 0.0)
     with pytest.raises(ValueError):
         nb_from_epsilon(math.pi, 2.0)
-    # below about 1.5e-8, 1 - eps^2/2 rounds to 1 and arccos to 0
-    for eps in (1e-300, 1e-9, 1e-8):
-        with pytest.raises(ValueError, match="too small"):
-            nb_from_epsilon(math.pi, eps)
-    assert nb_from_epsilon(math.pi, 2e-8) == 28
+    # phi = 2 asin(eps/2) is 0 only where eps/2 rounds to 0, at the smallest
+    # subnormal; below about 1.5e-8, where arccos(1 - eps^2/2) rounded to 0,
+    # n_b grows by one per halving of eps, past a ratio |theta| / phi that
+    # overflows a float (below about 3.5e-308)
+    with pytest.raises(ValueError, match="too small"):
+        nb_from_epsilon(math.pi, 5e-324)
+    assert [nb_from_epsilon(math.pi, eps) for eps in (
+        1e-320, 1e-300, 1e-9, 1e-8, 2e-8)] == [1065, 999, 32, 29, 28]
 
 
 @pytest.mark.parametrize("argv", [
@@ -83,9 +86,15 @@ def test_nb_errors():
     "verify approx-u --controls 40 --gate h --epsilon 1e-8",
     "bench --family approx_u --n-min 20 --n-max 20 --epsilon 1e-9"])
 def test_an_epsilon_too_small_for_arccos_is_a_usage_error(capsys, argv):
+    # arccos(1 - eps^2/2) rounded each eps to 0; 2 asin(eps/2) does not, and
+    # the n_b it gives is past the request's n or past the sparse tier
     assert run(argv.split()) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: epsilon ") and "too small" in err, err
+    assert capsys.readouterr().err == {
+        "synth": "error: need n >= n_b + 5 = 1004 control qubits for "
+                 "epsilon = 1e-300 (got n = 12)\n",
+        "verify": "error: sparse check needs more than 2097152 amplitudes\n",
+        "bench": "error: need n >= n_b + 5 = 37 control qubits for "
+                 "epsilon = 1e-09 (got n = 20)\n"}[argv.split()[0]]
 
 
 def test_root_gate_squares_back(rng):

@@ -8,7 +8,7 @@ import pytest
 import qsynth.verify
 from qsynth.cli import parse_angle, parse_gate_spec, run, UsageError
 from qsynth.ir import cnot_count, parse_json, report_for
-from qsynth.sim import rx_mat
+from qsynth.ir import rx_mat
 from qsynth.verify import Verdict
 
 

@@ -7,8 +7,8 @@ from qsynth import ir
 from qsynth.bench import FAMILY_TARGET, build
 from qsynth.ir import (Circuit, Gate, cnot_count, count_gates, depth,
                        export_text, inverse, lower, parse_json, remap,
-                       report_for)
-from qsynth.sim import rx_mat, ry_mat, rz_mat, unitary_of
+                       report_for, rx_mat, ry_mat, rz_mat)
+from qsynth.sim import unitary_of
 
 from conftest import H, X, random_circuit, random_su2
 

@@ -90,11 +90,22 @@ def test_matrix_free_requests_never_load_numpy(tmp_path, argv):
     ["verify", "mcx", "--controls", "14"],
     ["verify", "mcmt-x", "--controls", "10", "--targets", "3"],
     ["verify", "mcx", "--controls", "19", "--ancilla", "dirty"],
+    ["verify", "mcmt-su2", "--controls", "8", "--targets", "2", "--gate",
+     "h"],
+    ["verify", "mcmt-su2", "--controls", "12", "--targets", "3", "--gate",
+     "ry(pi/3)"],
+    ["verify", "mcmt-su2", "--controls", "14", "--targets", "2", "--gate",
+     "t"],
+    ["verify", "mcmt-su2", "--controls", "21", "--targets", "4", "--gate",
+     "h"],
 ])
 def test_dense_permutation_checks_never_load_numpy(argv):
-    # circuits of X, CX, CCX and RCCX against X targets: the dense tier
-    # checks them bit-sliced on Python ints, up to 2^21 inputs (the last
-    # request), and runs none of sim's code
+    # the dense tier checks these bit-sliced on Python ints, up to 2^21
+    # inputs of their classical wires (mcx with 19 controls and a dirty
+    # ancilla, mcmt-su2 with 21 controls), and runs none of sim's code:
+    # mcx and mcmt-x are circuits of X, CX, CCX and RCCX against X targets;
+    # mcmt-su2 adds gates on its targets only, run as one small operator
+    # per class of inputs
     r = fresh(_RUN_THEN_CHECK, *argv)
     assert r.returncode == 0, r.stderr
     lines = r.stderr.rstrip().splitlines()

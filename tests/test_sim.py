@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from qsynth.ir import Circuit, Gate, lower
+from qsynth.ir import rx_mat, ry_mat, rz_mat
 from qsynth.sim import (apply, equiv, gate_matrix, random_state,
-                        rx_mat, ry_mat, rz_mat, spectral_distance,
-                        unitary_of)
+                        spectral_distance, unitary_of)
 
 from conftest import H, X, ctrl_u, random_circuit, random_su2
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qsynth.ir import cnot_count, depth, lower
-from qsynth.sim import equiv, rx_mat, rz_mat, unitary_of
+from qsynth.ir import cnot_count, depth, lower, rx_mat, rz_mat
+from qsynth.sim import equiv, unitary_of
 from qsynth.su2 import (McmtSpec, conjugation_frame, conjugation_residual,
                         find_conjugating_gate, mcmt_su2, mcmt_x)
 

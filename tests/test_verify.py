@@ -5,7 +5,8 @@ import qsynth.bench as bench
 import qsynth.cli as cli
 import qsynth.sim as sim
 import qsynth.verify as verify
-from qsynth.ir import Circuit, Gate, lower, remap, rz_mat
+from qsynth.ir import (ANGLE_KINDS, ARITY, MATRIX_KINDS, Circuit, Gate,
+                       inverse_gates, lower, remap, rz_mat)
 from qsynth.mcx import McxSpec, mcx_log
 from qsynth.sim import (apply, random_state, rccx_matrix, spectral_distance,
                         unitary_of)
@@ -151,7 +152,8 @@ def test_mcmt_su2_count_is_exact():
     ("mcx --controls 29 --ancilla dirty", "sparse"),
     ("mcmt-x --controls 17 --targets 3", "dense"),
     ("mcmt-x --controls 18 --targets 4", "sparse"),
-    ("mcmt-su2 --controls 17 --targets 2 --gate h", "sparse"),
+    ("mcmt-su2 --controls 17 --targets 2 --gate h", "dense"),
+    ("mcmt-su2 --controls 22 --targets 2 --gate h", "sparse"),
     ("approx-u --controls 18 --gate x --epsilon 0.1", "sparse"),
 ])
 def test_verify_names_its_tier(capsys, argv, tier):
@@ -166,8 +168,9 @@ def test_spot_tier_sees_a_phase_that_depends_on_the_controls(target, n):
     # Rz on control 0 keeps the CX count and maps each basis pattern of the
     # controls to itself up to a phase, which moves with control 0: the
     # exact targets get no phase freedom, so the firing input 0 fails first.
-    # The Rz keeps the mutant in the sparse tier; the good mcmt-x circuit
-    # runs bit-sliced in the dense tier, and the sparse tier on it directly
+    # The Rz makes control 0 quantum and keeps the mutant in the sparse tier;
+    # the good circuits run bit-sliced in the dense tier, and the sparse tier
+    # on them directly
     c, spec = bench.build(target, n, 2)
     bad = Circuit(c.num_qubits, c.gates + (Gate("Rz", (0,), angle=0.3),),
                   c.ancilla_roles)
@@ -175,7 +178,7 @@ def test_spot_tier_sees_a_phase_that_depends_on_the_controls(target, n):
     assert Verdict("sparse", *verify._sparse(c, spec)).lines() \
         == ["ok tier=sparse inputs=%d" % k]
     assert verify_circuit(c, spec).lines() == [{
-        "mcmt-su2": "ok tier=sparse inputs=233",
+        "mcmt-su2": "ok tier=dense inputs=4096",
         "mcmt-x": "ok tier=dense inputs=2048"}[target]]
     v = verify_circuit(bad, spec)
     assert (v.tier, v.inputs, len(v.fails)) == ("sparse", k, 1)
@@ -237,12 +240,13 @@ def test_exact_targets_equal_their_oracle_with_no_phase(target, n, m,
 
 
 def test_dense_stacks_stay_within_the_amplitude_budget(monkeypatch):
-    # mcmt-su2 runs through the sparse kernel on basis inputs 0..k-1,
-    # _AMPS >> q of them per run; an input spreads to at most 2^q rows, so
-    # no gate leaves a run with more than _AMPS rows, even with an H on
-    # each of ten targets.  A wrong circuit on 10 qubits whose first failing
-    # input lies past the first run: the FAIL line names its index among
-    # all the inputs.  mcx and mcmt-x are bit-sliced
+    # the sparse kernel runs on basis inputs 0..k-1, _AMPS >> q of them per
+    # run; an input spreads to at most 2^q rows, so no gate leaves a run
+    # with more than _AMPS rows, even with an H on each of ten targets, which
+    # verify sends to the kernel as past _WORK.  The good 8-control build
+    # is bit-sliced, and runs on the kernel directly; a wrong circuit on 10
+    # qubits with a quantum control, whose first failing input lies past the
+    # first run: the FAIL line names its index among all the inputs
     runs, rows = [], []
     held, gate = verify._held, verify._gate
 
@@ -263,6 +267,8 @@ def test_dense_stacks_stay_within_the_amplitude_budget(monkeypatch):
     c, spec = bench.build("mcmt-su2", 8, 2)
     runs.clear()
     assert verify_circuit(c, spec).lines() == ["ok tier=dense inputs=1024"]
+    assert runs == []
+    assert verify._basis(c, spec, 1024) is None
     assert runs == [verify._AMPS >> 10] * 8
     bad = Circuit(c.num_qubits, c.gates + (Gate("CX", (8, 0)),) * 2 + (
         Gate("CCX", (7, 9, 2)),), c.ancilla_roles)
@@ -374,8 +380,8 @@ def test_bit_sliced_check_matches_the_column_stacks(monkeypatch, target, n,
                                                     m, ancilla):
     # the circuit, seeded mutants, one RCCX made a CCX (a phase of +-i on
     # some inputs) and three circuits with one gate dropped: the bit-sliced
-    # verdict, which never calls apply, against the sparse kernel's on every
-    # basis input (forced by an empty set of permutation kinds)
+    # verdict, which runs neither apply nor the kernel, against the sparse
+    # kernel's on every basis input
     c, spec = bench.build(target, n, m, ancilla)
     rng = np.random.default_rng(n * 16 + m)
     circuits = [c]
@@ -390,16 +396,18 @@ def test_bit_sliced_check_matches_the_column_stacks(monkeypatch, target, n,
         circuits.append(Circuit(c.num_qubits, c.gates[:i] + c.gates[i + 1:],
                                 c.ancilla_roles))
 
-    def no_apply(circuit, state):
-        raise AssertionError("the bit-sliced check ran apply")
-    monkeypatch.setattr(sim, "apply", no_apply)
+    def no_run(*args):
+        raise AssertionError("the bit-sliced check ran apply or the kernel")
+    monkeypatch.setattr(sim, "apply", no_run)
+    monkeypatch.setattr(verify, "_basis", no_run)
     sliced = [verify_circuit(b, spec).lines() for b in circuits]
     assert verify_circuit(c, spec._replace(ws=(X,) * m)).lines() == sliced[0]
-    monkeypatch.setattr(sim, "apply", apply)
-    monkeypatch.setattr(verify, "_PERMUTING", frozenset())
-    assert sliced == [verify_circuit(b, spec).lines() for b in circuits]
-    assert sliced[0] == ["ok tier=dense inputs=%d" % (
-        1 << (c.num_qubits - (ancilla == "clean")))]
+    monkeypatch.undo()
+    k = 1 << (c.num_qubits - (ancilla == "clean"))
+    assert [[f for f in v if "dense check" in f] for v in sliced] == [
+        ["FAIL tier=dense inputs=%d: %s" % (k, f) for f in
+         verify._dense_fails(verify._basis(b, spec, k))] for b in circuits]
+    assert sliced[0] == ["ok tier=dense inputs=%d" % k]
     assert any(v[-1].startswith("FAIL") for v in sliced[1:])
 
 
@@ -412,7 +420,8 @@ def test_bit_sliced_gates_match_their_matrices(qubits):
     for kind, arity in (("X", 1), ("CX", 2), ("CCX", 3), ("RCCX", 3)):
         c = Circuit(3, [Gate(kind, qubits[-arity:])])
         wires = verify._basis_ints(3, 8)
-        lo, hi = verify._permute(c, wires, 8)
+        lo, hi, conds = verify._slice(c, wires, 8)
+        assert conds == []
         P = np.zeros((8, 8), dtype=complex)
         for j in range(8):
             out = sum((w >> j & 1) << q for q, w in enumerate(wires))
@@ -420,6 +429,25 @@ def test_bit_sliced_gates_match_their_matrices(qubits):
         assert np.abs(P - unitary_of(c)).max() < 1e-12, kind
         if (kind, qubits) == ("RCCX", (2, 1, 0)):
             assert np.abs(P - rccx_matrix()).max() < 1e-12
+
+
+@pytest.mark.parametrize("g", [
+    Gate("X", (0,)), Gate("H", (0,)), Gate("T", (0,)), Gate("Tdg", (0,)),
+    Gate("Rx", (0,), angle=0.3), Gate("Ry", (0,), angle=-1.2),
+    Gate("Rz", (0,), angle=2.5), Gate("U2", (0,), matrix=rz_mat(0.4)),
+    Gate("CX", (0, 1)), Gate("CU2", (0, 1), matrix=H), Gate("CCX", (0, 1, 2)),
+    Gate("RCCX", (0, 1, 2))], ids=lambda g: g.kind)
+def test_target_blocks_match_gate_matrices(g):
+    # the 2x2 the split check applies to a quantum target for each value of
+    # the controls is the diagonal block of the gate's matrix there, and the
+    # matrix moves no control
+    M, blocks = sim.gate_matrix(g), verify._blocks(g)
+    assert len(blocks) == len(M) // 2
+    for v, block in enumerate(blocks):
+        part = M[:, 2 * v:2 * v + 2]
+        assert np.abs(part[2 * v:2 * v + 2] - np.asarray(block)).max() < 1e-12
+        assert np.abs(np.delete(part, [2 * v, 2 * v + 1], axis=0)).max(
+            initial=0) < 1e-12
 
 
 def test_basis_ints_match_the_closed_form():
@@ -521,9 +549,10 @@ def test_sparse_tier_kills_what_a_statevector_check_kills(target, n,
                                                           ancilla):
     # seeded mutants of 12- and 16-qubit circuits: each one a statevector
     # check catches must FAIL the sparse tier, run directly, and the tier
-    # verify picks (dense, bit-sliced, for mcx and mcmt-x)
+    # verify picks (dense, bit-sliced, for every exact target)
     c, spec = bench.build(target, n, 2, ancilla)
-    assert verify_circuit(c, spec).fails == ()
+    v = verify_circuit(c, spec)
+    assert (v.tier, v.fails) == ("sparse" if spec.epsilon else "dense", ())
     assert verify._sparse(c, spec)[1] == []
     kills = [(_statevector_check_fails(bad, spec),
               verify._sparse(bad, spec)[1] != [],
@@ -532,3 +561,92 @@ def test_sparse_tier_kills_what_a_statevector_check_kills(target, n,
     assert all(sparse and picked for spot, sparse, picked in kills if spot), \
         kills
     assert any(spot for spot, _, _ in kills)
+
+
+@pytest.mark.parametrize("n, m", [(10, 2), (9, 4), (11, 2), (12, 2), (10, 5),
+                                  (13, 3), (14, 2)])
+def test_split_check_kills_what_the_sparse_tier_kills(n, m):
+    # mcmt-su2 of 12 to 16 qubits, which verify checks bit-sliced on every
+    # basis input: each seeded mutant that the sparse tier, run directly,
+    # FAILs, or up to 13 qubits a statevector check, verify's check FAILs
+    # too; a mutant whose control turns quantum goes to the sparse tier
+    rng = np.random.default_rng(7 * n + m)
+    gate = (H, random_su2(rng), rz_mat(0.7))[(n + m) % 3]
+    c, spec = bench.build("mcmt-su2", n, m, gate=gate)
+    assert verify_circuit(c, spec).lines() == [
+        "ok tier=dense inputs=%d" % (1 << (n + m))]
+    kills = []
+    for bad in list(_any_mutants(c, rng, 6)) + list(_mutants(c, rng, 3)):
+        v = verify_circuit(bad, spec)
+        kills.append((verify._sparse(bad, spec)[1] != [],
+                      n + m <= 13 and _statevector_check_fails(bad, spec),
+                      v.tier, [f for f in v.fails if "check" in f] != []))
+    assert all(check for sparse, spot, _, check in kills if sparse or spot), \
+        kills
+    assert any(sparse for sparse, _, _, _ in kills)
+    assert any(tier == "dense" and check for _, _, tier, check in kills)
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 2), (1, 5), (2, 4)])
+def test_split_check_past_its_work_bound_falls_back(monkeypatch, n, m):
+    # the build has 4 classes (2 with one control) of 4^m entries: at that
+    # work verify runs the split check, one unit less the kernel, with the
+    # same line; seeded mutants get the same lines from the split check (no
+    # bound) and from the kernel (bound 0)
+    rng = np.random.default_rng(n * 8 + m)
+    c, spec = bench.build("mcmt-su2", n, m, gate=random_su2(rng))
+    basis, calls = verify._basis, []
+    monkeypatch.setattr(verify, "_basis",
+                        lambda *a: calls.append(a) or basis(*a))
+    work = (2 if n == 1 else 4) << 2 * m
+    for bound, kernel in ((work, False), (work - 1, True)):
+        monkeypatch.setattr(verify, "_WORK", bound)
+        calls.clear()
+        assert verify_circuit(c, spec).lines() == [
+            "ok tier=dense inputs=%d" % (1 << (n + m))]
+        assert (calls != []) == kernel
+    mutants, lines = list(_any_mutants(c, rng, 6)), []
+    for bound in (1 << 40, 0):
+        monkeypatch.setattr(verify, "_WORK", bound)
+        lines.append([verify_circuit(b, spec).lines() for b in mutants])
+    assert lines[0] == lines[1]
+    assert any(v[-1].startswith("FAIL") for v in lines[0])
+
+
+@pytest.mark.parametrize("n, m, seed", [(3, 2, 0), (2, 3, 1), (4, 3, 2),
+                                        (1, 3, 3), (5, 2, 4)])
+def test_split_check_matches_the_kernel_on_random_gates(n, m, seed):
+    # an mcmt-su2 build followed by random gates of every kind: on the
+    # controls only X, CX, CCX and RCCX among controls, on the targets any
+    # gate with controls anywhere, so gates with quantum controls too; then
+    # the same with the random gates undone.  The split check takes both and
+    # gives the kernel's line on every basis input
+    rng = np.random.default_rng(seed)
+    c, spec = bench.build("mcmt-su2", n, m, gate=random_su2(rng))
+    rand = []
+    for kind in rng.permutation(sorted(ARITY) * 2):
+        arity = ARITY[kind]
+        if kind in verify._PERMUTING and arity <= n and rng.integers(2):
+            qubits = rng.choice(n, arity, replace=False)
+        else:
+            t = n + int(rng.integers(m))
+            qubits = list(rng.choice([q for q in range(n + m) if q != t],
+                                     arity - 1, replace=False)) + [t]
+        rand.append(Gate(kind, qubits,
+                         angle=rng.normal() if kind in ANGLE_KINDS else None,
+                         matrix=random_su2(rng) if kind in MATRIX_KINDS
+                         else None))
+    k = 1 << (n + m)
+    for gates, fails in ((rand, True), (rand + inverse_gates(rand), False)):
+        b = Circuit(n + m, c.gates + tuple(gates))
+        split = verify._split(b, spec)
+        assert split == verify._dense_fails(verify._basis(b, spec, k))
+        assert (split != []) == fails
+
+
+def test_split_check_work_bound_is_six_targets():
+    # 4 classes of 4^6 entries are _WORK: the build with 6 targets runs the
+    # split check, with 7 it declines
+    for m, declines in ((6, False), (7, True)):
+        c, spec = bench.build("mcmt-su2", 4, m, gate=H)
+        assert (verify._split(c, spec) is None) == declines

@@ -17,7 +17,7 @@ import qsynth.ir as ir
 from qsynth.approx import _ladder, approx_mcu
 from qsynth.ir import Circuit, Gate, inverse, remap
 from qsynth.mcx import McxSpec, _schedule, mcx_log
-from qsynth.sim import rx_mat, rz_mat
+from qsynth.ir import rx_mat, rz_mat
 from qsynth.su2 import (McmtSpec, _fanout_tree, _u2, conjugation_frame,
                         mcmt_su2, mcmt_x)
 
