@@ -36,13 +36,20 @@ def default_gate(target):
     return None
 
 
-class Spec(namedtuple("Spec", "target n ws ancilla epsilon n_b",
-                      defaults=("none", None, None))):
+class Spec(namedtuple("Spec", "target n ws ancilla epsilon n_b phase",
+                      defaults=("none", None, None, 0.0))):
     """What a circuit must do.  ``target`` keys ``verify.CNOT_TABLE``;
     ``ws`` holds the target gates as 2x2 matrix tuples; ``ancilla`` is
     clean, dirty or none; ``epsilon`` and ``n_b`` (base controls [0, n_b])
-    describe an approximate circuit."""
+    describe an approximate circuit; ``phase`` is the alpha an mcmt-su2
+    build drops from the requested gate U, whose SU(2) part e^{-i alpha} U
+    each W is."""
     __slots__ = ()
+
+    def dropped(self):
+        """The field that ends synth's report and verify's ok line when
+        the build dropped a phase, or ""."""
+        return " dropped_phase=%.6g" % self.phase if self.phase else ""
 
 
 def build(target, n, m=1, ancilla="clean", gate=None, epsilon=0.1,
@@ -66,10 +73,11 @@ def build(target, n, m=1, ancilla="clean", gate=None, epsilon=0.1,
     if target == "mcmt-su2":
         from .approx import su2_angle
         from .su2 import McmtSpec, mcmt_su2
-        # multi-target SU(2) synthesis works up to the global phase
-        ws = (scale(gate, cmath.exp(-1j * su2_angle(gate)[1])),) * m
+        # multi-target SU(2) synthesis builds the SU(2) part of the gate
+        alpha = su2_angle(gate)[1]
+        ws = (scale(gate, cmath.exp(-1j * alpha)),) * m
         c = mcmt_su2(McmtSpec(n, m, ws))
-        return c, Spec("mcmt-su2", n, ws)
+        return c, Spec("mcmt-su2", n, ws, phase=alpha)
     if target == "approx-u":
         from .approx import approx_mcu
         c, params = approx_mcu(n, gate, epsilon, n_b)

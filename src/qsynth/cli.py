@@ -131,10 +131,11 @@ def _requested(args):
 
 
 def cmd_synth(args):
-    c, _ = _requested(args)
+    c, spec = _requested(args)
     sys.stdout.write(export_text(c, args.format))
     kind = next((r for r in c.ancilla_roles if r != "none"), "none")
-    sys.stderr.write(_report_line(report_for(c, kind)) + "\n")
+    sys.stderr.write(_report_line(report_for(c, kind)) + spec.dropped()
+                     + "\n")
     return 0
 
 

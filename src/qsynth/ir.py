@@ -31,6 +31,9 @@ FIXED_KINDS = frozenset({"X", "H", "T", "Tdg"})
 LOWERED_KINDS = FIXED_KINDS | {"Rx", "Ry", "Rz", "U2", "CX"}
 
 _UNITARITY_TOL = 1e-12
+# moduli closer than this count as equally largest where a phase is read off
+# a matrix's first largest entry (sim._aligned, verify's approximate checks)
+PHASE_TIE = 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ distinct qubits into one block (Haner & Steiger, arXiv:1704.01127).  A
 block's 2^k x 2^k matrix is built by the same small-tensor contraction on a
 2^k identity, and then each block, not each gate, makes one pass over the
 big tensor.  The last circuit's blocks are kept for its next stack.
+``operator`` fuses the steps of one class of verify's split check the same
+way.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from ._np import np
-from .ir import Circuit, Gate, lower, target_matrix
+from .ir import PHASE_TIE, Circuit, Gate, lower, target_matrix
 
 UNITARY_CAP = 13
 APPLY_CAP = 22
@@ -27,11 +29,12 @@ _POWER_SEED = 20240811
 
 
 @lru_cache(maxsize=4096)
-def _array(m, controls=0):
-    """Read-only array of the 2x2 matrix tuple ``m`` with ``controls``
-    control wires in front, built once per matrix."""
-    a = np.eye(2 << controls, dtype=complex)
-    a[-2:, -2:] = m
+def _array(m, values=()):
+    """Read-only array of the 2x2 matrix tuple ``m`` acting where control
+    wires in front hold ``values``, built once per matrix."""
+    at = 2 * sum(v << i for i, v in enumerate(values[::-1]))
+    a = np.eye(2 << len(values), dtype=complex)
+    a[at:at + 2, at:at + 2] = m
     a.setflags(write=False)
     return a
 
@@ -53,7 +56,7 @@ def gate_matrix(g: Gate) -> np.ndarray:
     """
     if g.kind == "RCCX":
         return rccx_matrix()
-    return _array(target_matrix(g), len(g.qubits) - 1)
+    return _array(target_matrix(g), (1,) * (len(g.qubits) - 1))
 
 
 def _contract(tensor, m, axes):
@@ -65,30 +68,46 @@ def _contract(tensor, m, axes):
     return np.moveaxis(tensor, range(k), axes)
 
 
-def _block(gates, wires):
-    """(qubits, matrix) of a run of gates on ``wires``, first wire most
-    significant."""
-    if len(gates) == 1:
-        return wires, gate_matrix(gates[0])
+def _block(ops, wires):
+    """(qubits, matrix) of a run of (qubits, matrix) ops on ``wires``,
+    first wire most significant."""
+    if len(ops) == 1:
+        return wires, ops[0][1]
     k = len(wires)
     t = np.eye(1 << k, dtype=complex).reshape((2,) * k + (1 << k,))
-    for g in gates:
-        t = _contract(t, gate_matrix(g), [wires.index(q) for q in g.qubits])
+    for qubits, m in ops:
+        t = _contract(t, m, [wires.index(q) for q in qubits])
     return wires, t.reshape(1 << k, 1 << k)
+
+
+def _fuse(ops):
+    """Greedy blocks of consecutive (qubits, matrix) ops on at most
+    FUSE_WIDTH qubits."""
+    blocks, run, wires = [], [], []
+    for op in ops:
+        grown = wires + [q for q in op[0] if q not in wires]
+        if len(grown) > FUSE_WIDTH:
+            blocks.append(_block(run, wires))
+            run, grown = [], list(op[0])
+        run.append(op)
+        wires = grown
+    return tuple(blocks + [_block(run, wires)] if run else blocks)
 
 
 @lru_cache(maxsize=1)
 def _fused(circuit):
-    """Greedy blocks of consecutive gates on at most FUSE_WIDTH qubits."""
-    blocks, run, wires = [], [], []
-    for g in circuit.gates:
-        grown = wires + [q for q in g.qubits if q not in wires]
-        if len(grown) > FUSE_WIDTH:
-            blocks.append(_block(run, wires))
-            run, grown = [], list(g.qubits)
-        run.append(g)
-        wires = grown
-    return tuple(blocks + [_block(run, wires)] if run else blocks)
+    """The blocks of ``circuit``'s gates (:func:`_fuse`)."""
+    return _fuse([(g.qubits, gate_matrix(g)) for g in circuit.gates])
+
+
+def _run(blocks, state):
+    """Each block applied to the (2^n, ...) array ``state``."""
+    n = state.shape[0].bit_length() - 1
+    t = state.reshape((2,) * n + state.shape[1:])
+    for qubits, m in blocks:
+        # axis for qubit q is n-1-q (little-endian)
+        t = _contract(t, m, [n - 1 - q for q in qubits])
+    return t.reshape(state.shape)
 
 
 def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
@@ -101,11 +120,26 @@ def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
     if state.ndim not in (1, 2) or state.shape[0] != 2 ** n:
         raise ValueError("state dimension mismatch")
-    t = state.reshape((2,) * n + state.shape[1:])
-    for qubits, m in _fused(circuit):
-        # axis for qubit q is n-1-q (little-endian)
-        t = _contract(t, m, [n - 1 - q for q in qubits])
-    return t.reshape(state.shape)
+    return _run(_fused(circuit), state)
+
+
+def operator(D, steps):
+    """The D x D operator of ``steps``, each (target, ((control, value),
+    ...), 2x2 matrix tuple) on log2(D) wires: ``verify._operator`` as an
+    array, its steps fused into blocks as :func:`apply` fuses gates."""
+    return _run(_fuse([(tuple(q for q, _ in ctl) + (t,),
+                        _array(m, tuple(v for _, v in ctl)))
+                       for t, ctl, m in steps]), np.eye(D, dtype=complex))
+
+
+def top(op):
+    """(index, value) of each entry of ``op`` within PHASE_TIE of its
+    largest modulus, indexed in column-major order as ``verify._operator``
+    lists them."""
+    t = op.T
+    a = np.abs(t)
+    hit = a >= a.max() - PHASE_TIE
+    return list(zip(np.flatnonzero(hit).tolist(), t[hit].tolist()))
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
@@ -126,9 +160,12 @@ class EquivResult(namedtuple("EquivResult", "distance passed mode")):
 
 
 def _aligned(A, B):
-    """A - e^{i phi} B, with phi the phase of the largest entry of B^dag A."""
+    """A - e^{i phi} B, with phi the phase of the first entry of B^dag A,
+    in flat order, whose modulus is within PHASE_TIE of the largest."""
     D = B.conj().T @ A
-    return A - cmath.exp(1j * cmath.phase(D.flat[np.abs(D).argmax()])) * B
+    a = np.abs(D)
+    z = D.flat[np.flatnonzero(a >= a.max() - PHASE_TIE)[0]]
+    return A - cmath.exp(1j * cmath.phase(z)) * B
 
 
 def equiv(A, B, mode, tol=1e-9) -> EquivResult:

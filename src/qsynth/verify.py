@@ -5,16 +5,19 @@ controls on wires [0, n), W_j on wire n + j and at most one ancilla after
 them.  It checks the CX count against :data:`CNOT_TABLE`, then runs the
 tier the circuit and its register size select:
 
-- dense: every basis input the spec allows.  An exact target whose
-  controls and ancilla only ever get X, CX, CCX and RCCX gates among
-  classical wires runs split (:func:`_split`), with no numpy, on any
-  register whose classical wires take at most :data:`SLICED_INPUTS` inputs:
-  the classical wires bit-sliced on Python ints, the few targets that hold
-  amplitudes as one small operator per class of inputs, in pure Python.
-  That covers every ``mcx``, ``mcmt-x`` and ``mcmt-su2`` build up to 6
-  targets.  Any other exact circuit of at most 11 qubits runs through the
-  sparse tier's kernel, _AMPS >> q inputs per run, and an approximate one's
-  unitary is held to its spectral bound;
+- dense: every basis input the spec allows.  A circuit whose ancilla, and
+  an exact target's controls, only ever get X, CX, CCX and RCCX gates
+  among classical wires runs split (:func:`_split`) on any register whose
+  classical wires take at most :data:`SLICED_INPUTS` inputs: the
+  classical wires bit-sliced on Python ints, the few wires that hold
+  amplitudes as one small operator per class of inputs.  An exact target
+  is held to its oracle column by column, in pure Python; that covers
+  every ``mcx``, ``mcmt-x`` and ``mcmt-su2`` build up to 6 targets.  An
+  approximate one is held to its spectral bound, block by block: in pure
+  Python up to _PURE quantum wires, in numpy above.  Any other exact
+  circuit of at most 11 qubits runs through the sparse tier's kernel,
+  _AMPS >> q inputs per run, and an approximate one's unitary is held to
+  its spectral bound whole;
 - sparse (every other circuit of 12 qubits and up): near-firing inputs
   through a basis-index -> amplitude simulator (Jaques & Haner,
   arXiv:2105.01533) on int64 keys, vectorised over the inputs.  It runs the
@@ -26,27 +29,31 @@ budget stops at 2^21 inputs (an mcx on 21 qubits with a dirty ancilla, on
 22 with a clean one), the last power of two at which the bit-sliced check
 still peaks below the sparse tier: a fresh verify process peaks at 28 MB
 against 36 at 2^21 inputs, and at 41 MB against 37 at 2^22.  Its operators
-hold 4^|quantum| entries per class, so it declines past _WORK of them,
-where the kernel or the sparse tier is faster.
+hold 4^|quantum| entries per class, so it declines past _WORK of them in
+Python, where the kernel or the sparse tier is faster, and past _WIDE in
+numpy.
 
 Every exact check simulates macro gates; that lowering preserves them is
-tested on its own.  Only the kernel and the approximate check load ``sim``
-(and with it numpy); ``sim.apply`` runs only in the dense approximate one.
+tested on its own.  Only the kernel and the approximate checks load ``sim``
+(and with it numpy), an approximate split check only past _PURE quantum
+wires; ``sim.apply`` runs only in the dense approximate check of a circuit
+the split check declines, which no build is.
 
 Every tier holds each input to the one rule of :func:`_errors`, except
 that an approximate target's dense unitary is held to its spectral bound.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import combinations
-from operator import and_, or_
+from operator import and_, mul, or_
 
 from ._np import np
 from .bench import Spec  # re-exported: the spec verify_circuit checks
-from .ir import (IDENTITY, Circuit, Gate, adjoint, check_unitary, cnot_count,
-                 dist, fixed_matrix, lower, target_matrix)
+from .ir import (IDENTITY, PHASE_TIE, Circuit, Gate, adjoint, check_unitary,
+                 cnot_count, dist, fixed_matrix, lower, target_matrix)
 
 DENSE_CAP = 11         # widest dense register off the split check
 SLICED_INPUTS = 1 << 21  # most classical inputs of a split check
@@ -59,6 +66,9 @@ _WORD = 63             # key bits per int64 word; the sign bit stays clear
 _ALL_PAIRS = 64        # up to this many controls, every pair is cleared
 _PERMUTING = frozenset({"X", "CX", "CCX", "RCCX"})  # phased permutations
 _WORK = 1 << 14        # most classes x 4^|quantum| of a split check
+_WIDE = 1 << 22        # the same in numpy: 64 MB of approximate operators
+_PURE = 4              # most quantum wires of an approximate operator in
+                       # Python; numpy's import costs more from 5
 
 
 # target -> exact CX count of (n, m, ancilla, n_b); n <= 2 circuits are
@@ -260,7 +270,8 @@ def _blocks(g):
 def _quantum(c, spec):
     """The wires that need amplitudes: the targets whose W is not exactly
     X, closed over the target of every gate outside _PERMUTING and of every
-    gate with a quantum control; None if a control or an ancilla is one."""
+    gate with a quantum control; None if an ancilla is one, or a control
+    of an exact target."""
     n, X = spec.n, fixed_matrix("X")
     quantum, size = {n + j for j, W in enumerate(spec.ws) if dist(W, X)}, -1
     while size < len(quantum):
@@ -268,7 +279,8 @@ def _quantum(c, spec):
         quantum.update(g.qubits[-1] for g in c.gates
                        if g.kind not in _PERMUTING
                        or not quantum.isdisjoint(g.qubits[:-1]))
-    return sorted(quantum) if all(n <= q < n + len(spec.ws)
+    low = 0 if spec.epsilon is not None else n
+    return sorted(quantum) if all(low <= q < n + len(spec.ws)
                                   for q in quantum) else None
 
 
@@ -324,6 +336,72 @@ def _operator(D, steps):
     return op
 
 
+def _top(entries):
+    """(index, value) of each of ``entries`` within PHASE_TIE of the largest
+    modulus among them."""
+    big = max(map(abs, entries)) - PHASE_TIE
+    return [(i, v) for i, v in enumerate(entries) if abs(v) >= big]
+
+
+def _norm(D, E):
+    """The spectral norm of the D x D matrix E, given as :func:`_operator`
+    gives one: the square root of the top eigenvalue of E^dag E.  Lanczos
+    with full reorthogonalisation reduces E^dag E to a tridiagonal matrix
+    over a basis of all of C^D (a breakdown restarts from the unit vector
+    farthest from the basis so far), whose top eigenvalue bisection on its
+    Sturm sequence finds."""
+    cols = [(E[y:y + D], [u.conjugate() for u in E[y:y + D]])
+            for y in range(0, D * D, D)]
+    basis, alpha, beta, v = [], [], [], None   # basis: (q, conj(q)) pairs
+    small = 1e-14 * D * max(1.0, max(map(abs, E))) ** 2
+
+    def rest(v):
+        # v less its projection on the basis, twice, and its length
+        for _ in range(2):
+            for b, bc in basis:
+                h = sum(map(mul, bc, v))
+                v = [x - h * y for x, y in zip(v, b)]
+        return v, math.sqrt(sum(abs(x) ** 2 for x in v))
+
+    for j in range(D):
+        if v is None:
+            i = max(range(D), key=lambda i: -sum(abs(b[i]) ** 2
+                                                for b, _ in basis))
+            v, r = rest([0j] * i + [1 + 0j] + [0j] * (D - 1 - i))
+            v = [x / r for x in v]
+            if basis:
+                beta.append(0.0)
+        basis.append((v, [x.conjugate() for x in v]))
+        w = [0j] * D            # E^dag E v, one column of E at a time
+        for a, (col, _) in zip(v, cols):
+            w = [x + a * y for x, y in zip(w, col)]
+        w = [sum(map(mul, cc, w)) for _, cc in cols]
+        alpha.append(sum(map(mul, basis[-1][1], w)).real)
+        w, r = rest(w)
+        v = None if r <= small else [x / r for x in w]
+        if v is not None and j + 1 < D:
+            beta.append(r)
+    # bisection between the largest diagonal entry and Gershgorin's bound
+    lo = max(alpha)
+    hi = max(a + (beta[i - 1] if i else 0.0) + (beta[i] if i < len(beta)
+                                                else 0.0)
+             for i, a in enumerate(alpha))
+    while True:
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            return math.sqrt(max(hi, 0.0))
+        below, d = 0, 1.0
+        for i, a in enumerate(alpha):
+            d = a - mid - (beta[i - 1] ** 2 / d if i else 0.0)
+            if d == 0:
+                d = -1e-300
+            below += d < 0
+        if below == D:
+            hi = mid
+        else:
+            lo = mid
+
+
 def _scatter(x, wires):
     """Bit i of ``x`` moved to bit wires[i]."""
     return sum((x >> i & 1) << q for i, q in enumerate(wires))
@@ -331,19 +409,19 @@ def _scatter(x, wires):
 
 def _split(c, spec):
     """The dense tier's check of every basis input the spec allows, in
-    classes: the FAIL line of the first input that breaks the rule of
-    :func:`_errors`, if any, or None if the check declines.
+    classes: the FAIL lines of :func:`_class_fails` or
+    :func:`_approx_fails`, or None if the check declines.
 
     Classical wires are bit-sliced over their inputs (:func:`_slice`).  Two
     inputs share a class when they agree on the controls of every gate on a
     quantum wire (:func:`_quantum`), on oracle firing, on the power of i and
-    on whether a classical wire ends wrong.  Each class's operator on the
-    quantum wires, times its power of i, must equal the oracle's block,
-    column by column; a wrong classical wire fails every column, by the
-    largest entry of either.  Declines an approximate target, a quantum
-    control or ancilla, more than SLICED_INPUTS classical inputs, and more
-    than _WORK classes x 4^|quantum|, the operators' entries."""
-    quantum = None if spec.epsilon is not None else _quantum(c, spec)
+    on whether a classical wire ends wrong; they then share one operator on
+    the quantum wires.  Declines a quantum ancilla, a quantum control of an
+    exact target, more than SLICED_INPUTS classical inputs and, for an
+    approximate target, a classical wire that ends wrong.  The operators'
+    entries, classes x 4^|quantum|, may number at most _WORK while they
+    stay in Python, and at most _WIDE in numpy."""
+    quantum = _quantum(c, spec)
     if quantum is None:
         return None
     nq, n, D = c.num_qubits, spec.n, 1 << len(quantum)
@@ -355,13 +433,15 @@ def _split(c, spec):
     for q, v in zip(classical, _basis_ints(len(classical), k)):
         wires[q] = v
     want = list(wires)
-    fire = reduce(and_, want[:n], (1 << k) - 1)
+    fire = reduce(and_, (v for v in want[:n] if v is not None), (1 << k) - 1)
     for q in range(n, n + len(spec.ws)):
         if q not in quantum:
             want[q] ^= fire
     lo, hi, conds = _slice(c, wires, k, set(quantum))
     moved = reduce(or_, (w ^ v for w, v in zip(wires, want) if w is not None),
                    0)
+    if spec.epsilon is not None and moved:
+        return None
 
     # each gate on a quantum wire reads its classical controls as (local
     # bits, mask) pairs: one AND of them when only the all-set value acts
@@ -374,6 +454,7 @@ def _split(c, spec):
         reads.append(cl)
     # classes: the inputs split by each of those masks, then by firing, the
     # power of i and a wrong classical wire
+    work = _WIDE if spec.epsilon is not None and D > 1 << _PURE else _WORK
     classes = [((1 << k) - 1, ())]
     for mask in [v for cl in reads for _, v in cl] + [fire, lo, hi, moved]:
         split = []
@@ -383,14 +464,10 @@ def _split(c, spec):
                 split.append((inputs ^ part, bits + (0,)))
             split.append((part or inputs, bits + (1 if part else 0,)))
         classes = split
-        if len(classes) * D * D > _WORK:
+        if len(classes) * D * D > work:
             return None
 
-    pos = {q: i for i, q in enumerate(quantum)}
-    oracle = _operator(D, [(pos[n + j], (), check_unitary(W))
-                           for j, W in enumerate(spec.ws) if n + j in pos])
-    one = _operator(D, [])
-    first = None
+    pos, parts = {q: i for i, q in enumerate(quantum)}, []
     for inputs, bits in classes:
         steps, read = [], iter(bits)
         for (g, ints), cl in zip(conds, reads):
@@ -404,21 +481,88 @@ def _split(c, spec):
                 if M is not IDENTITY:
                     steps.append((pos[g.qubits[-1]], tuple(
                         (q, v >> i & 1) for i, (q, _) in enumerate(qctl)), M))
-        T = _operator(D, steps)
         *_, fires, p_lo, p_hi, wrong = bits
+        # the class's first input, its classical wires scattered
+        x = _scatter((inputs & -inputs).bit_length() - 1, classical)
+        parts.append((x, steps, fires, 1j ** (p_lo + 2 * p_hi), wrong))
+    if spec.epsilon is None:
+        return _class_fails(spec, quantum, parts)
+    return _approx_fails(spec, quantum, parts)
+
+
+def _class_fails(spec, quantum, parts):
+    """Each class's operator on the quantum wires, times its power of i,
+    must equal the oracle's block, column by column; a wrong classical wire
+    fails every column, by the largest entry of either.  The FAIL line of
+    the first input that breaks the rule of :func:`_errors`, if any."""
+    n, D = spec.n, 1 << len(quantum)
+    oracle = _operator(D, [(quantum.index(n + j), (), check_unitary(W))
+                           for j, W in enumerate(spec.ws) if n + j in quantum])
+    one = _operator(D, [])
+    first = None
+    for x, steps, fires, ph, wrong in parts:
+        T = _operator(D, steps)
         O = oracle if fires else one
-        ph = 1j ** (p_lo + 2 * p_hi)
         for y in range(0, D * D, D):
             col, want_col = T[y:y + D], O[y:y + D]
             err = max(max(map(abs, col)), max(map(abs, want_col))) if wrong \
                 else max(abs(ph * u - w) for u, w in zip(col, want_col))
             if err > _TOL:
-                x = (inputs & -inputs).bit_length() - 1
-                j = _scatter(x, classical) + _scatter(y // D, quantum)
+                j = x + _scatter(y // D, quantum)
                 if first is None or j < first[1]:
                     first = err, j
                 break
     return _dense_fails(first)
+
+
+def _approx_fails(spec, quantum, parts):
+    """The spectral bound on every input.  With every classical wire right,
+    U - e^{i phi} O is block-diagonal, one block i^p T - e^{i phi} O_c per
+    class, where O_c, the oracle's block, is C^{quantum controls}(W) if the
+    classical controls fire, else I: the norm is the largest of
+    ||i^p O_c^dag T - e^{i phi} I||.  phi follows sim._aligned, the phase
+    of the first largest entry of O^dag U, each class's entries at their
+    places in its first input's rows and columns.  The operators stay in
+    Python up to _PURE quantum wires, and the norm is :func:`_norm`; wider
+    ones are numpy arrays (``sim.operator``, ``sim.spectral_norm``)."""
+    D, q = 1 << len(quantum), len(quantum) - 1
+    # every quantum wire but the target, the top one, is a control
+    undo = (q, tuple((i, 1) for i in range(q)),
+            adjoint(check_unitary(spec.ws[0])))
+    if q < _PURE:
+        ops = [[ph * u for u in _operator(D, steps + [undo] * fires)]
+               for _, steps, fires, ph, _ in parts]
+        tops = [_top(op) for op in ops]
+    else:
+        from .sim import operator, spectral_norm, top
+        ops = []
+        for _, steps, fires, ph, _ in parts:
+            op = operator(D, steps)
+            if fires:
+                apply_oracle(op, q, [undo[2]])      # in place
+            op *= ph
+            ops.append(op)
+        tops = [top(op) for op in ops]
+    cands = [((x + _scatter(i % D, quantum), x + _scatter(i // D, quantum)),
+              v) for (x, *_), top_c in zip(parts, tops) for i, v in top_c]
+    big = max(abs(v) for _, v in cands) - PHASE_TIE
+    v = min((e for e in cands if abs(e[1]) >= big), key=lambda e: e[0])[1]
+    z, err = v / abs(v), 0.0
+    for op in ops:
+        if q < _PURE:
+            op[::D + 1] = [u - z for u in op[::D + 1]]
+            err = max(err, _norm(D, op))
+        else:
+            op.flat[::D + 1] -= z
+            err = max(err, spectral_norm(op))
+    return _spectral_fails(err, spec.epsilon)
+
+
+def _spectral_fails(err, epsilon):
+    """An approximate target's FAIL line, if its spectral error is too
+    large."""
+    return ["spectral error %.3e > epsilon %g" % (err, epsilon)] \
+        if err > epsilon else []
 
 
 def _dense_fails(miss):
@@ -443,16 +587,16 @@ def _basis(c, spec, k):
 
 
 def _largest(D):
-    """D's first entry of largest modulus in flat order, as
-    ``D.flat[np.abs(D).argmax()]``, with no modulus copy of all of D."""
+    """D's first entry in flat order whose modulus is within PHASE_TIE of
+    the largest, the entry of sim._aligned, with no modulus copy of all of
+    D."""
     rows = max(1, _AMPS // D.shape[1])
-    best, at = -1.0, 0
-    for r in range(0, len(D), rows):
-        a = np.abs(D[r:r + rows])
-        i = int(a.argmax())
-        if a.flat[i] > best:
-            best, at = a.flat[i], r * D.shape[1] + i
-    return D.flat[at]
+    runs = range(0, len(D), rows)
+    big = max(np.abs(D[r:r + rows]).max() for r in runs) - PHASE_TIE
+    for r in runs:
+        hit = np.flatnonzero(np.abs(D[r:r + rows]) >= big)
+        if hit.size:
+            return D.flat[r * D.shape[1] + hit[0]]
 
 
 def _inputs(c, spec):
@@ -464,10 +608,12 @@ def _inputs(c, spec):
 def _dense(c, spec):
     """Every basis input the spec allows (:func:`_inputs`) of a circuit the
     split check declines, each held to the rule of :func:`_errors` through
-    the sparse kernel (:func:`_basis`); for an approximate target, D =
-    O^dag U formed in place from the lowered circuit's identity columns,
-    _AMPS amplitudes at a time, whose D - e^{i phi} I has the spectral norm
-    of U - e^{i phi} O, since O is unitary, held to epsilon."""
+    the sparse kernel (:func:`_basis`); for an approximate target (a
+    circuit whose classical wire ends wrong: a hand-made one, never a
+    build), D = O^dag U formed in place from the lowered circuit's identity
+    columns, _AMPS amplitudes at a time, whose D - e^{i phi} I has the
+    spectral norm of U - e^{i phi} O, since O is unitary, held to
+    epsilon."""
     nq, n = c.num_qubits, spec.n
     dim, k = 1 << nq, _inputs(c, spec)
     if spec.epsilon is not None:
@@ -478,9 +624,7 @@ def _dense(c, spec):
             D[:, j:j + step] = apply(low, np.eye(dim, min(step, k - j), -j))
         D = apply_oracle(D, n, [adjoint(W) for W in spec.ws])
         D.flat[::k + 1] -= np.exp(1j * np.angle(_largest(D)))
-        d = spectral_norm(D)
-        return k, ["spectral error %.3e > epsilon %g" % (d, spec.epsilon)] \
-            if d > spec.epsilon else []
+        return k, _spectral_fails(spectral_norm(D), spec.epsilon)
     return k, _dense_fails(_basis(c, spec, k))
 
 
@@ -581,7 +725,7 @@ def verify_circuit(c, spec) -> Verdict:
         tier, (inputs, more) = "dense", _dense(c, spec)
     else:
         tier, (inputs, more) = "sparse", _sparse(c, spec)
-    note = ""
+    note = spec.dropped()
     if spec.epsilon is not None and tier != "dense":
         note = ("; the per-column epsilon check is necessary, "
                 "not sufficient, for the spectral bound")

@@ -125,11 +125,12 @@ def test_approx_eps_005_n12_count_only():
 
 
 def test_approx_eps_005_n12_spot_check():
-    # the 13-qubit point above, through the sparse tier's structured inputs
+    # the 13-qubit point above, every input held to the spectral bound by
+    # the class check
     c, params = approx_mcu(12, X, 0.05)
     v = verify_circuit(c, Spec("approx-u", 12, (X,), epsilon=0.05,
                                n_b=params.n_b))
-    assert (v.tier, v.inputs, v.fails) == ("sparse", 32, ()), v
+    assert (v.tier, v.inputs, v.fails) == ("dense", 8192, ()), v
 
 
 # ---------------------------------------------------------------------------

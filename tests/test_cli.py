@@ -271,3 +271,28 @@ def test_parse_gate_spec():
             parse_gate_spec(bad)
     with pytest.raises(UsageError):
         parse_gate_spec("cnot")
+
+
+@pytest.mark.parametrize("gate, field", [
+    ("h", " dropped_phase=1.5708"), ("t", " dropped_phase=0.392699"),
+    ("rz(0.4)", "")])
+def test_mcmt_su2_names_the_phase_it_drops(capsys, gate, field):
+    # mcmt-su2 builds C^n(e^{-i alpha} U), alpha = arg(det U) / 2: synth's
+    # report and verify's ok line end with alpha when it is not 0, and the
+    # circuit on stdout is the build of that SU(2) part either way
+    import cmath
+    from qsynth.approx import su2_angle
+    from qsynth.ir import export_text, scale
+    from qsynth.su2 import McmtSpec, mcmt_su2
+    U = parse_gate_spec(gate)
+    W = scale(U, cmath.exp(-1j * su2_angle(U)[1]))
+    code, out, err = invoke(capsys, "synth", "mcmt-su2", "--controls", "3",
+                            "--targets", "2", "--gate", gate,
+                            "--format", "qasm3")
+    assert code == 0
+    assert out == export_text(mcmt_su2(McmtSpec(3, 2, (W, W))), "qasm3")
+    assert err.startswith("cnot=20 total_gates=")
+    assert err.endswith(" num_ancilla=0 ancilla_kind=none%s\n" % field)
+    assert invoke(capsys, "verify", "mcmt-su2", "--controls", "3",
+                  "--targets", "2", "--gate", gate) == (
+        0, "", "verify mcmt-su2: ok tier=dense inputs=32%s\n" % field)

@@ -98,6 +98,10 @@ def test_matrix_free_requests_never_load_numpy(tmp_path, argv):
      "t"],
     ["verify", "mcmt-su2", "--controls", "21", "--targets", "4", "--gate",
      "h"],
+    ["verify", "approx-u", "--controls", "7", "--gate", "rz(pi/8)",
+     "--epsilon", "0.1"],
+    ["verify", "approx-u", "--controls", "8", "--gate", "rz(pi/4)",
+     "--epsilon", "0.1"],
 ])
 def test_dense_permutation_checks_never_load_numpy(argv):
     # the dense tier checks these bit-sliced on Python ints, up to 2^21
@@ -105,7 +109,8 @@ def test_dense_permutation_checks_never_load_numpy(argv):
     # ancilla, mcmt-su2 with 21 controls), and runs none of sim's code:
     # mcx and mcmt-x are circuits of X, CX, CCX and RCCX against X targets;
     # mcmt-su2 adds gates on its targets only, run as one small operator
-    # per class of inputs
+    # per class of inputs; approx-u's 3 or 4 quantum wires (base controls
+    # and target) keep their operators and spectral norms in Python
     r = fresh(_RUN_THEN_CHECK, *argv)
     assert r.returncode == 0, r.stderr
     lines = r.stderr.rstrip().splitlines()

@@ -154,13 +154,22 @@ def test_mcmt_su2_count_is_exact():
     ("mcmt-x --controls 18 --targets 4", "sparse"),
     ("mcmt-su2 --controls 17 --targets 2 --gate h", "dense"),
     ("mcmt-su2 --controls 22 --targets 2 --gate h", "sparse"),
-    ("approx-u --controls 18 --gate x --epsilon 0.1", "sparse"),
+    ("approx-u --controls 18 --gate x --epsilon 0.1", "dense"),
+    ("approx-u --controls 27 --gate x --epsilon 0.1", "sparse"),
 ])
 def test_verify_names_its_tier(capsys, argv, tier):
+    # approx-u's class check takes up to 2^21 classical inputs (n_b = 5
+    # base controls and the target hold amplitudes); past them the sparse
+    # tier samples, and says so
     assert cli.run(["verify"] + argv.split()) == 0
     err = capsys.readouterr().err
     assert ": ok tier=%s inputs=" % tier in err
-    assert ("necessary, not sufficient" in err) == argv.startswith("approx")
+    assert ("necessary, not sufficient" in err) == (
+        argv.startswith("approx") and tier == "sparse")
+    if "necessary" in err:
+        assert err.endswith(": ok tier=sparse inputs=431; the per-column "
+                            "epsilon check is necessary, not sufficient, "
+                            "for the spectral bound\n")
 
 
 @pytest.mark.parametrize("target, n", [("mcmt-su2", 10), ("mcmt-x", 9)])
@@ -187,11 +196,16 @@ def test_spot_tier_sees_a_phase_that_depends_on_the_controls(target, n):
 
 
 def test_approx_spot_verdict_says_it_checks_columns(capsys):
-    assert cli.run(["verify", "approx-u", "--controls", "12", "--gate", "x",
-                    "--epsilon", "0.1"]) == 0
-    assert capsys.readouterr().err == (
-        "verify approx-u: ok tier=sparse inputs=61; the per-column epsilon "
-        "check is necessary, not sufficient, for the spectral bound\n")
+    # the class check holds every input of 13 qubits to the spectral bound,
+    # with no note; past 2^21 classical inputs the sparse tier checks
+    # columns, and its note says what that leaves out
+    for n, line in (("12", "ok tier=dense inputs=8192"), (
+            "27", "ok tier=sparse inputs=431; the per-column epsilon "
+                  "check is necessary, not sufficient, for the spectral "
+                  "bound")):
+        assert cli.run(["verify", "approx-u", "--controls", n, "--gate", "x",
+                        "--epsilon", "0.1"]) == 0
+        assert capsys.readouterr().err == "verify approx-u: %s\n" % line
 
 
 # an exact target gets no phase freedom: a global phase e^{0.3i} appended on
@@ -261,7 +275,8 @@ def test_dense_stacks_stay_within_the_amplitude_budget(monkeypatch):
     monkeypatch.setattr(verify, "_held", held_spy)
     monkeypatch.setattr(verify, "_gate", gate_spy)
     c, spec = bench.build("mcmt-su2", 1, 10, gate=H)
-    assert verify_circuit(c, spec).lines() == ["ok tier=dense inputs=2048"]
+    assert verify_circuit(c, spec).lines() == [
+        "ok tier=dense inputs=2048 dropped_phase=1.5708"]
     assert runs == [verify._AMPS >> 11] * 32
     assert verify._AMPS // 4 <= max(rows) <= verify._AMPS
     c, spec = bench.build("mcmt-su2", 8, 2)
@@ -306,19 +321,78 @@ def _mutants(c, rng, count):
         yield Circuit(c.num_qubits, gates, c.ancilla_roles)
 
 
+def _spectral_errors(monkeypatch):
+    """The norms verify's approximate checks take, in Python
+    (verify._norm) or numpy (sim.spectral_norm), as a list that records
+    them; the check's error is the largest of one verify's norms."""
+    got, norm, pure = [], sim.spectral_norm, verify._norm
+    monkeypatch.setattr(sim, "spectral_norm",
+                        lambda D: got.append(("numpy", norm(D))) or got[-1][1])
+    monkeypatch.setattr(verify, "_norm", lambda D, E: got.append(
+        ("python", pure(D, E))) or got[-1][1])
+    return got
+
+
 def test_dense_approx_error_is_the_spectral_distance(monkeypatch):
-    # the in-place D = O^dag U against spectral_distance(U, O), on the
-    # circuit and on seeded mutants
+    # the class check's error, or on a mutant whose classical wire ends
+    # wrong the in-place D = O^dag U, against spectral_distance(U, O), on
+    # the circuit and on seeded mutants
     c, spec = bench.build("approx-u", 7, gate=rz_mat(np.pi / 8))
     O = apply_oracle(np.eye(1 << 8), 7, spec.ws)
-    norm, got = sim.spectral_norm, []
-    monkeypatch.setattr(sim, "spectral_norm",
-                        lambda D: got.append(norm(D)) or got[-1])
+    got, errs = _spectral_errors(monkeypatch), []
     for m in [c] + list(_mutants(c, np.random.default_rng(3), 6)):
+        got.clear()
         verify_circuit(m, spec)
-        assert abs(got[-1] - spectral_distance(unitary_of(lower(m)), O)) \
+        errs.append(max(e for _, e in got))
+        assert abs(errs[-1] - spectral_distance(unitary_of(lower(m)), O)) \
             < 1e-12
-    assert max(got) > 0.5
+    assert max(errs) > 0.5
+
+
+@pytest.mark.parametrize("n, gate, path", [
+    (7, rz_mat(np.pi / 8), "python"), (10, X, "numpy")])
+def test_class_error_is_the_spectral_distance(monkeypatch, n, gate, path):
+    # the class check's error against spectral_distance(U, O) within 1e-12,
+    # on the circuit and each seeded mutant it takes, with its operators in
+    # Python (3 quantum wires) or numpy (6); at least one mutant moves a
+    # classical wire, which the class check declines
+    c, spec = bench.build("approx-u", n, gate=gate)
+    O = apply_oracle(np.eye(2 << n), n, spec.ws)
+    got, taken = _spectral_errors(monkeypatch), []
+    for m in [c] + list(_mutants(c, np.random.default_rng(3), 6)):
+        got.clear()
+        fails = verify._split(m, spec)
+        taken.append(fails is not None)
+        if fails is None:
+            continue
+        assert {p for p, _ in got} == {path}
+        err = max(e for _, e in got)
+        assert abs(err - spectral_distance(unitary_of(lower(m)), O)) < 1e-12
+        assert (fails != []) == (err > spec.epsilon)
+    assert taken[0] and sum(taken) >= 3 and not all(taken), taken
+
+
+@pytest.mark.parametrize("D", range(1, 17))
+def test_python_norm_matches_numpy(D):
+    # verify._norm of random, zero, rank-one, repeated-top and unitary
+    # minus phase matrices against numpy's 2-norm, within 1e-12
+    rng = np.random.default_rng(D)
+
+    def unitary():
+        return np.linalg.qr(rng.normal(size=(D, D))
+                            + 1j * rng.normal(size=(D, D)))[0]
+    Q = unitary()
+    top = np.sort(rng.random(D))[::-1] * 2
+    top[:3] = 2.5
+    for E in (rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D)),
+              np.zeros((D, D)),
+              np.outer(rng.normal(size=D) + 1j * rng.normal(size=D),
+                       rng.normal(size=D)),
+              Q * top @ Q.conj().T,
+              unitary() - np.exp(0.3j) * np.eye(D),
+              Q - Q * np.exp(1e-3j * rng.random(D))):
+        got = verify._norm(D, [complex(x) for x in E.T.ravel()])
+        assert abs(got - np.linalg.norm(E, 2)) < 1e-12
 
 
 def _any_mutants(c, rng, count):
@@ -549,10 +623,10 @@ def test_sparse_tier_kills_what_a_statevector_check_kills(target, n,
                                                           ancilla):
     # seeded mutants of 12- and 16-qubit circuits: each one a statevector
     # check catches must FAIL the sparse tier, run directly, and the tier
-    # verify picks (dense, bit-sliced, for every exact target)
+    # verify picks (dense, by the split check, for every good circuit)
     c, spec = bench.build(target, n, 2, ancilla)
     v = verify_circuit(c, spec)
-    assert (v.tier, v.fails) == ("sparse" if spec.epsilon else "dense", ())
+    assert (v.tier, v.fails) == ("dense", ())
     assert verify._sparse(c, spec)[1] == []
     kills = [(_statevector_check_fails(bad, spec),
               verify._sparse(bad, spec)[1] != [],
@@ -574,7 +648,7 @@ def test_split_check_kills_what_the_sparse_tier_kills(n, m):
     gate = (H, random_su2(rng), rz_mat(0.7))[(n + m) % 3]
     c, spec = bench.build("mcmt-su2", n, m, gate=gate)
     assert verify_circuit(c, spec).lines() == [
-        "ok tier=dense inputs=%d" % (1 << (n + m))]
+        "ok tier=dense inputs=%d%s" % (1 << (n + m), spec.dropped())]
     kills = []
     for bad in list(_any_mutants(c, rng, 6)) + list(_mutants(c, rng, 3)):
         v = verify_circuit(bad, spec)
