@@ -10,8 +10,9 @@ numbers, multiplied by the 2x2 helpers in ``ir``, so synthesis, export and
 count-only bench of every family never load numpy: only ``sim`` and
 ``verify`` do, and ``sim.gate_matrix`` turns each tuple into an array once.
 Even ``verify`` leaves it, and ``sim``, unloaded when its split check takes
-a circuit (every ``mcx`` and ``mcmt-x`` build, and ``mcmt-su2`` builds up
-to 6 targets), which runs on Python ints and tuples.
+a circuit in pure Python (every ``mcx`` and ``mcmt-x`` build, ``mcmt-su2``
+builds up to 6 targets, and ``approx-u`` builds with at most 4 quantum
+wires), which runs on Python ints and tuples.
 Three rules keep it that way:
 
 - ``sim`` and ``verify`` take numpy as ``from ._np import np``, never

@@ -29,7 +29,7 @@ _POWER_SEED = 20240811
 
 
 @lru_cache(maxsize=4096)
-def _array(m, values=()):
+def _array(m, values):
     """Read-only array of the 2x2 matrix tuple ``m`` acting where control
     wires in front hold ``values``, built once per matrix."""
     at = 2 * sum(v << i for i, v in enumerate(values[::-1]))
