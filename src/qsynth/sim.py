@@ -25,6 +25,7 @@ from .ir import PHASE_TIE, Circuit, Gate, lower, target_matrix
 UNITARY_CAP = 13
 APPLY_CAP = 22
 FUSE_WIDTH = 5         # widest fused block; of 3 to 6, fastest on verify
+EXACT_CAP = 2048       # widest SVD norm: 3.9 s on a 2-core Xeon
 _POWER_SEED = 20240811
 
 
@@ -132,14 +133,31 @@ def operator(D, steps):
                        for t, ctl, m in steps]), np.eye(D, dtype=complex))
 
 
+def ties(a, peak=None):
+    """Flat indices of the entries of ``a`` whose modulus is within
+    PHASE_TIE of ``peak``, by default a's largest modulus: the entries the
+    phase rule picks the first of."""
+    m = np.abs(a)
+    return np.flatnonzero(m >= (m.max() if peak is None else peak)
+                          - PHASE_TIE)
+
+
 def top(op):
-    """(index, value) of each entry of ``op`` within PHASE_TIE of its
-    largest modulus, indexed in column-major order as ``verify._operator``
-    lists them."""
-    t = op.T
-    a = np.abs(t)
-    hit = a >= a.max() - PHASE_TIE
-    return list(zip(np.flatnonzero(hit).tolist(), t[hit].tolist()))
+    """(index, value) of each of ``op``'s :func:`ties`, indexed in
+    column-major order as ``verify._operator`` lists them."""
+    t, hit = op.T, ties(op.T)
+    return list(zip(hit.tolist(), t.flat[hit].tolist()))
+
+
+def largest(D, rows):
+    """D's first entry in flat order among its :func:`ties`, found
+    ``rows`` rows at a time, with no modulus copy of all of D."""
+    runs = range(0, len(D), rows)
+    peak = max(np.abs(D[r:r + rows]).max() for r in runs)
+    for r in runs:
+        hit = ties(D[r:r + rows], peak)
+        if hit.size:
+            return D.flat[r * D.shape[1] + hit[0]]
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
@@ -160,12 +178,9 @@ class EquivResult(namedtuple("EquivResult", "distance passed mode")):
 
 
 def _aligned(A, B):
-    """A - e^{i phi} B, with phi the phase of the first entry of B^dag A,
-    in flat order, whose modulus is within PHASE_TIE of the largest."""
+    """A - e^{i phi} B, with phi the phase of :func:`largest` of B^dag A."""
     D = B.conj().T @ A
-    a = np.abs(D)
-    z = D.flat[np.flatnonzero(a >= a.max() - PHASE_TIE)[0]]
-    return A - cmath.exp(1j * cmath.phase(z)) * B
+    return A - cmath.exp(1j * cmath.phase(largest(D, len(D)))) * B
 
 
 def equiv(A, B, mode, tol=1e-9) -> EquivResult:
@@ -196,12 +211,15 @@ def equiv(A, B, mode, tol=1e-9) -> EquivResult:
 
 
 def spectral_norm(D):
-    """Largest singular value of the square matrix D."""
-    if D.shape[0] <= 256:
+    """Largest singular value of the square matrix D: exact (an SVD) up to
+    dimension EXACT_CAP, which every dense verify check stays within, and
+    above it a lower bound from a power iteration."""
+    if D.shape[0] <= EXACT_CAP:
         return float(np.linalg.norm(D, 2))
     # matrix-free power iteration on D^dag D; a full SVD at dimension 4096
     # costs minutes while two matvecs per step cost milliseconds.  A seeded
-    # random start: a fixed vector can be orthogonal to the whole error
+    # random start: a fixed vector can be orthogonal to the whole error.
+    # It stops when two estimates agree, so it may stop low
     rng = np.random.default_rng(_POWER_SEED)
     v = (1, 1j) @ rng.normal(size=(2, D.shape[0]))
     v /= np.linalg.norm(v)

@@ -268,18 +268,20 @@ def _blocks(g):
 
 
 def _quantum(c, spec):
-    """The wires that need amplitudes: the targets whose W is not exactly
-    X, closed over the target of every gate outside _PERMUTING and of every
-    gate with a quantum control; None if an ancilla is one, or a control
-    of an exact target."""
-    n, X = spec.n, fixed_matrix("X")
-    quantum, size = {n + j for j, W in enumerate(spec.ws) if dist(W, X)}, -1
+    """The wires that need amplitudes: an approximate target and the exact
+    targets whose W is not exactly X, closed over the target of every gate
+    outside _PERMUTING and of every gate with a quantum control; None if an
+    ancilla is one, or a control of an exact target.  An approximate
+    target is always one, so its quantum controls sit below it."""
+    n, X, approx = spec.n, fixed_matrix("X"), spec.epsilon is not None
+    quantum, size = {n + j for j, W in enumerate(spec.ws)
+                     if approx or dist(W, X)}, -1
     while size < len(quantum):
         size = len(quantum)
         quantum.update(g.qubits[-1] for g in c.gates
                        if g.kind not in _PERMUTING
                        or not quantum.isdisjoint(g.qubits[:-1]))
-    low = 0 if spec.epsilon is not None else n
+    low = 0 if approx else n
     return sorted(quantum) if all(low <= q < n + len(spec.ws)
                                   for q in quantum) else None
 
@@ -526,7 +528,7 @@ def _approx_fails(spec, quantum, parts):
     Python up to _PURE quantum wires, and the norm is :func:`_norm`; wider
     ones are numpy arrays (``sim.operator``, ``sim.spectral_norm``)."""
     D, q = 1 << len(quantum), len(quantum) - 1
-    # every quantum wire but the target, the top one, is a control
+    # every quantum wire but the one target, the top one, is a control
     undo = (q, tuple((i, 1) for i in range(q)),
             adjoint(check_unitary(spec.ws[0])))
     if q < _PURE:
@@ -543,10 +545,10 @@ def _approx_fails(spec, quantum, parts):
             op *= ph
             ops.append(op)
         tops = [top(op) for op in ops]
+    # each class's ties at (row, column) of O^dag U; the first of theirs
     cands = [((x + _scatter(i % D, quantum), x + _scatter(i // D, quantum)),
               v) for (x, *_), top_c in zip(parts, tops) for i, v in top_c]
-    big = max(abs(v) for _, v in cands) - PHASE_TIE
-    v = min((e for e in cands if abs(e[1]) >= big), key=lambda e: e[0])[1]
+    v = min(_top([v for _, v in cands]), key=lambda iv: cands[iv[0]][0])[1]
     z, err = v / abs(v), 0.0
     for op in ops:
         if q < _PURE:
@@ -586,19 +588,6 @@ def _basis(c, spec, k):
     return None
 
 
-def _largest(D):
-    """D's first entry in flat order whose modulus is within PHASE_TIE of
-    the largest, the entry of sim._aligned, with no modulus copy of all of
-    D."""
-    rows = max(1, _AMPS // D.shape[1])
-    runs = range(0, len(D), rows)
-    big = max(np.abs(D[r:r + rows]).max() for r in runs) - PHASE_TIE
-    for r in runs:
-        hit = np.flatnonzero(np.abs(D[r:r + rows]) >= big)
-        if hit.size:
-            return D.flat[r * D.shape[1] + hit[0]]
-
-
 def _inputs(c, spec):
     """How many basis inputs the spec allows: a clean ancilla, the top
     wire, is 0."""
@@ -617,13 +606,14 @@ def _dense(c, spec):
     nq, n = c.num_qubits, spec.n
     dim, k = 1 << nq, _inputs(c, spec)
     if spec.epsilon is not None:
-        from .sim import apply, spectral_norm
+        from .sim import apply, largest, spectral_norm
         low, step = lower(c), max(1, _AMPS >> nq)
         D = np.empty((dim, k), dtype=complex)
         for j in range(0, k, step):
             D[:, j:j + step] = apply(low, np.eye(dim, min(step, k - j), -j))
         D = apply_oracle(D, n, [adjoint(W) for W in spec.ws])
-        D.flat[::k + 1] -= np.exp(1j * np.angle(_largest(D)))
+        D.flat[::k + 1] -= np.exp(1j * np.angle(
+            largest(D, max(1, _AMPS // k))))
         return k, _spectral_fails(spectral_norm(D), spec.epsilon)
     return k, _dense_fails(_basis(c, spec, k))
 

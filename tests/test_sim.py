@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import qsynth.sim as sim
 from qsynth.ir import Circuit, Gate, lower
 from qsynth.ir import rx_mat, ry_mat, rz_mat
 from qsynth.sim import (apply, equiv, gate_matrix, random_state,
-                        spectral_distance, unitary_of)
+                        spectral_distance, spectral_norm, unitary_of)
 
 from conftest import H, X, ctrl_u, random_circuit, random_su2
 
@@ -95,13 +96,27 @@ def test_spectral_distance_phase_invariant(rng):
     assert 2 * np.sin(th / 4) - 1e-12 <= d <= 2 * np.sin(th / 2) + 1e-12
 
 
-def test_spectral_distance_sees_an_error_orthogonal_to_uniform():
-    # above dimension 256 the norm comes from a power iteration: an error
-    # orthogonal to the uniform vector must still show in full
+def test_spectral_distance_sees_an_error_orthogonal_to_uniform(
+        monkeypatch):
+    # above EXACT_CAP, here lowered to 256, the norm comes from a power
+    # iteration: an error orthogonal to the uniform vector must still show
+    # in full
+    monkeypatch.setattr(sim, "EXACT_CAP", 256)
     B = np.eye(512)
     A = B[[1, 0] + list(range(2, 512))]
     assert abs(spectral_distance(A, B) - 2) < 1e-9
     assert abs(spectral_distance(A[:256, :256], B[:256, :256]) - 2) < 1e-12
+
+
+def test_spectral_norm_is_exact_up_to_its_cap():
+    # up to EXACT_CAP, past every dense verify operator (2048 rows), the
+    # norm is an SVD's, however close the top two singular values lie
+    rng = np.random.default_rng(5)
+    Q = np.linalg.qr(rng.normal(size=(512, 512)))[0]
+    s = np.linspace(0.5, 1.0, 512)
+    s[-2] = 1.0 - 1e-9
+    assert sim.EXACT_CAP >= 2048
+    assert abs(spectral_norm(Q * s @ Q.T) - 1.0) < 1e-12
 
 
 def test_random_state_properties(rng):
