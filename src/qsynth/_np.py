@@ -12,7 +12,7 @@ count-only bench of every family never load numpy: only ``sim`` and
 Even ``verify`` leaves it, and ``sim``, unloaded when its split check takes
 a circuit in pure Python (every ``mcx`` and ``mcmt-x`` build, ``mcmt-su2``
 builds up to 6 targets, and ``approx-u`` builds with at most 4 quantum
-wires), which runs on Python ints and tuples.
+wires, within ``verify._WORK``), which runs on Python ints and tuples.
 Three rules keep it that way:
 
 - ``sim`` and ``verify`` take numpy as ``from ._np import np``, never

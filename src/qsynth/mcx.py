@@ -15,13 +15,13 @@ disjoint from the operands being merged.  The scheduler tracks certificates
 explicitly and makes one deterministic pass per n, with no seeds and no
 retries.  A merge wave hosts only on slots freed in earlier waves, so it
 stops pairing once none of those is left; the pass then costs O(n^2),
-about 0.25 s at n = 1024 and 4 s at n = 4096.  Up to ``STRICT_MAX_N`` the
-pass is strict and raises if its schedule is not certificate-valid; those
-schedules are long boot chains, so the clean depth is about 11n (176 at
-n = 16, 318 at n = 29), not logarithmic.  Above ``STRICT_MAX_N`` a
-best-effort pass keeps the count and a logarithmic depth, but its circuits
-are wrong on some near-firing inputs and ``qsynth verify`` reports FAIL
-for them.
+about 0.13 s at n = 1024 and 2.4 s at n = 4096 on a 2-core Xeon.  Up to
+``STRICT_MAX_N`` the pass is strict and raises if its schedule is not
+certificate-valid; those schedules are long boot chains, so the clean
+depth is about 11n (176 at n = 16, 318 at n = 29), not logarithmic.
+Above ``STRICT_MAX_N`` a best-effort pass keeps the count and a
+logarithmic depth, but its circuits are wrong on some near-firing inputs
+and ``qsynth verify`` reports FAIL for them.
 """
 from __future__ import annotations
 

@@ -11,6 +11,10 @@ block's 2^k x 2^k matrix is built by the same small-tensor contraction on a
 big tensor.  The last circuit's blocks are kept for its next stack.
 ``operator`` fuses the steps of one class of verify's split check the same
 way.
+
+``verify`` runs neither ``apply`` nor ``unitary_of``, the tests' reference;
+its checks take ``gate_matrix``, ``random_state``, ``operator``, ``top``
+and ``spectral_norm``.
 """
 from __future__ import annotations
 
@@ -133,13 +137,12 @@ def operator(D, steps):
                        for t, ctl, m in steps]), np.eye(D, dtype=complex))
 
 
-def ties(a, peak=None):
+def ties(a):
     """Flat indices of the entries of ``a`` whose modulus is within
-    PHASE_TIE of ``peak``, by default a's largest modulus: the entries the
-    phase rule picks the first of."""
+    PHASE_TIE of its largest: the entries the phase rule picks the first
+    of."""
     m = np.abs(a)
-    return np.flatnonzero(m >= (m.max() if peak is None else peak)
-                          - PHASE_TIE)
+    return np.flatnonzero(m >= m.max() - PHASE_TIE)
 
 
 def top(op):
@@ -147,17 +150,6 @@ def top(op):
     column-major order as ``verify._operator`` lists them."""
     t, hit = op.T, ties(op.T)
     return list(zip(hit.tolist(), t.flat[hit].tolist()))
-
-
-def largest(D, rows):
-    """D's first entry in flat order among its :func:`ties`, found
-    ``rows`` rows at a time, with no modulus copy of all of D."""
-    runs = range(0, len(D), rows)
-    peak = max(np.abs(D[r:r + rows]).max() for r in runs)
-    for r in runs:
-        hit = ties(D[r:r + rows], peak)
-        if hit.size:
-            return D.flat[r * D.shape[1] + hit[0]]
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
@@ -178,9 +170,10 @@ class EquivResult(namedtuple("EquivResult", "distance passed mode")):
 
 
 def _aligned(A, B):
-    """A - e^{i phi} B, with phi the phase of :func:`largest` of B^dag A."""
+    """A - e^{i phi} B, with phi the phase of the first of the
+    :func:`ties` of B^dag A in row-major order."""
     D = B.conj().T @ A
-    return A - cmath.exp(1j * cmath.phase(largest(D, len(D)))) * B
+    return A - cmath.exp(1j * cmath.phase(D.flat[ties(D)[0]])) * B
 
 
 def equiv(A, B, mode, tol=1e-9) -> EquivResult:

@@ -13,15 +13,17 @@ tier the circuit and its register size select:
   amplitudes as one small operator per class of inputs.  An exact target
   is held to its oracle column by column, in pure Python; that covers
   every ``mcx``, ``mcmt-x`` and ``mcmt-su2`` build up to 6 targets.  An
-  approximate one is held to its spectral bound, block by block: in pure
-  Python up to _PURE quantum wires, in numpy above.  Any other exact
+  approximate one is held to its spectral bound, block by block, with
+  every classical wire that ends wrong among the quantum ones: in pure
+  Python up to _PURE quantum wires and _WORK entries, in numpy above.
+  That takes every approximate circuit of at most 11 qubits.  Any other
   circuit of at most 11 qubits runs through the sparse tier's kernel,
-  _AMPS >> q inputs per run, and an approximate one's unitary is held to
-  its spectral bound whole;
+  _AMPS >> q inputs per run;
 - sparse (every other circuit of 12 qubits and up): near-firing inputs
   through a basis-index -> amplitude simulator (Jaques & Haner,
-  arXiv:2105.01533) on int64 keys, vectorised over the inputs.  It runs the
-  macro gates with the dense simulator's own matrices.
+  arXiv:2105.01533) on int64 keys, vectorised over the inputs, in batches
+  that spread to at most MAX_ROWS rows.  It runs the macro gates with the
+  dense simulator's own matrices.
 
 The split check holds one int of k bits per classical wire, so its time and
 memory grow with k, the sparse tier's with the width of the register.  The
@@ -29,18 +31,18 @@ budget stops at 2^21 inputs (an mcx on 21 qubits with a dirty ancilla, on
 22 with a clean one), the last power of two at which the bit-sliced check
 still peaks below the sparse tier: a fresh verify process peaks at 28 MB
 against 36 at 2^21 inputs, and at 41 MB against 37 at 2^22.  Its operators
-hold 4^|quantum| entries per class, so it declines past _WORK of them in
-Python, where the kernel or the sparse tier is faster, and past _WIDE in
-numpy.
+hold 4^|quantum| entries per class, so it declines past _WORK of them for
+an exact target, where the kernel or the sparse tier is faster, and past
+_WIDE for an approximate one.
 
 Every exact check simulates macro gates; that lowering preserves them is
-tested on its own.  Only the kernel and the approximate checks load ``sim``
-(and with it numpy), an approximate split check only past _PURE quantum
-wires; ``sim.apply`` runs only in the dense approximate check of a circuit
-the split check declines, which no build is.
+tested on its own.  Only the kernel, the sparse tier and the approximate
+checks past _PURE quantum wires or _WORK entries load ``sim`` (and with it
+numpy); no check runs ``sim.apply``.
 
 Every tier holds each input to the one rule of :func:`_errors`, except
-that an approximate target's dense unitary is held to its spectral bound.
+that the dense tier holds an approximate target's unitary to its spectral
+bound.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ from operator import and_, mul, or_
 from ._np import np
 from .bench import Spec  # re-exported: the spec verify_circuit checks
 from .ir import (IDENTITY, PHASE_TIE, Circuit, Gate, adjoint, check_unitary,
-                 cnot_count, dist, fixed_matrix, lower, target_matrix)
+                 cnot_count, dist, fixed_matrix, target_matrix)
 
 DENSE_CAP = 11         # widest dense register off the split check
 SLICED_INPUTS = 1 << 21  # most classical inputs of a split check
@@ -61,13 +63,14 @@ _AMPS = 1 << 17        # rows per dense run: 128 basis inputs at 10 qubits
 _SEED = 20240811
 _TOL = 1e-9            # largest entry error of an exact target, every tier
 _TINY = 1e-12          # amplitudes dropped after a gate spreads the rows
-MAX_ROWS = 1 << 21     # sparse rows held at once: 48 MB with one key word
+MAX_ROWS = 1 << 21     # sparse rows per batch: 48 MB, 370-760 MB at peak
 _WORD = 63             # key bits per int64 word; the sign bit stays clear
 _ALL_PAIRS = 64        # up to this many controls, every pair is cleared
 _PERMUTING = frozenset({"X", "CX", "CCX", "RCCX"})  # phased permutations
-_WORK = 1 << 14        # most classes x 4^|quantum| of a split check
-_WIDE = 1 << 22        # the same in numpy: 64 MB of approximate operators
-_PURE = 4              # most quantum wires of an approximate operator in
+_WORK = 1 << 14        # most classes x 4^|quantum| of an exact split
+                       # check, and of approximate operators in Python
+_WIDE = 1 << 22        # the same for an approximate target: 64 MB in numpy
+_PURE = 4              # most quantum wires of approximate operators in
                        # Python; numpy's import costs more from 5
 
 
@@ -267,15 +270,16 @@ def _blocks(g):
     return (IDENTITY,) * ((1 << k) - 1) + (target_matrix(g),)
 
 
-def _quantum(c, spec):
-    """The wires that need amplitudes: an approximate target and the exact
-    targets whose W is not exactly X, closed over the target of every gate
-    outside _PERMUTING and of every gate with a quantum control; None if an
-    ancilla is one, or a control of an exact target.  An approximate
-    target is always one, so its quantum controls sit below it."""
+def _quantum(c, spec, extra=()):
+    """The wires that need amplitudes: an approximate target, the exact
+    targets whose W is not exactly X and the ``extra`` wires, closed over
+    the target of every gate outside _PERMUTING and of every gate with a
+    quantum control; None if an ancilla is one, or a control of an exact
+    target.  An approximate target is always one, so its quantum controls
+    sit below it."""
     n, X, approx = spec.n, fixed_matrix("X"), spec.epsilon is not None
     quantum, size = {n + j for j, W in enumerate(spec.ws)
-                     if approx or dist(W, X)}, -1
+                     if approx or dist(W, X)} | set(extra), -1
     while size < len(quantum):
         size = len(quantum)
         quantum.update(g.qubits[-1] for g in c.gates
@@ -409,7 +413,7 @@ def _scatter(x, wires):
     return sum((x >> i & 1) << q for i, q in enumerate(wires))
 
 
-def _split(c, spec):
+def _split(c, spec, extra=()):
     """The dense tier's check of every basis input the spec allows, in
     classes: the FAIL lines of :func:`_class_fails` or
     :func:`_approx_fails`, or None if the check declines.
@@ -418,12 +422,14 @@ def _split(c, spec):
     inputs share a class when they agree on the controls of every gate on a
     quantum wire (:func:`_quantum`), on oracle firing, on the power of i and
     on whether a classical wire ends wrong; they then share one operator on
-    the quantum wires.  Declines a quantum ancilla, a quantum control of an
-    exact target, more than SLICED_INPUTS classical inputs and, for an
-    approximate target, a classical wire that ends wrong.  The operators'
-    entries, classes x 4^|quantum|, may number at most _WORK while they
-    stay in Python, and at most _WIDE in numpy."""
-    quantum = _quantum(c, spec)
+    the quantum wires.  For an approximate target a classical wire that
+    ends wrong joins the quantum wires (``extra``), and the check runs
+    again.  Declines a quantum ancilla, a quantum control of an exact
+    target, more than SLICED_INPUTS classical inputs and more operator
+    entries, classes x 4^|quantum|, than _WORK for an exact target or
+    _WIDE for an approximate one; every circuit of at most 11 qubits fits
+    the latter, as 2^c * 4^q <= 2^22 when c + q <= 11."""
+    quantum = _quantum(c, spec, extra)
     if quantum is None:
         return None
     nq, n, D = c.num_qubits, spec.n, 1 << len(quantum)
@@ -443,7 +449,8 @@ def _split(c, spec):
     moved = reduce(or_, (w ^ v for w, v in zip(wires, want) if w is not None),
                    0)
     if spec.epsilon is not None and moved:
-        return None
+        return _split(c, spec, extra + tuple(q for q in classical
+                                             if wires[q] != want[q]))
 
     # each gate on a quantum wire reads its classical controls as (local
     # bits, mask) pairs: one AND of them when only the all-set value acts
@@ -456,7 +463,7 @@ def _split(c, spec):
         reads.append(cl)
     # classes: the inputs split by each of those masks, then by firing, the
     # power of i and a wrong classical wire
-    work = _WIDE if spec.epsilon is not None and D > 1 << _PURE else _WORK
+    work = _WORK if spec.epsilon is None else _WIDE
     classes = [((1 << k) - 1, ())]
     for mask in [v for cl in reads for _, v in cl] + [fire, lo, hi, moved]:
         split = []
@@ -525,25 +532,22 @@ def _approx_fails(spec, quantum, parts):
     ||i^p O_c^dag T - e^{i phi} I||.  phi follows sim._aligned, the phase
     of the first largest entry of O^dag U, each class's entries at their
     places in its first input's rows and columns.  The operators stay in
-    Python up to _PURE quantum wires, and the norm is :func:`_norm`; wider
-    ones are numpy arrays (``sim.operator``, ``sim.spectral_norm``)."""
+    Python up to _PURE quantum wires and _WORK entries in all, and the
+    norm is :func:`_norm`; others are numpy arrays (``sim.operator``,
+    ``sim.spectral_norm``)."""
     D, q = 1 << len(quantum), len(quantum) - 1
     # every quantum wire but the one target, the top one, is a control
     undo = (q, tuple((i, 1) for i in range(q)),
             adjoint(check_unitary(spec.ws[0])))
-    if q < _PURE:
+    pure = q < _PURE and len(parts) * D * D <= _WORK
+    if pure:
         ops = [[ph * u for u in _operator(D, steps + [undo] * fires)]
                for _, steps, fires, ph, _ in parts]
         tops = [_top(op) for op in ops]
     else:
         from .sim import operator, spectral_norm, top
-        ops = []
-        for _, steps, fires, ph, _ in parts:
-            op = operator(D, steps)
-            if fires:
-                apply_oracle(op, q, [undo[2]])      # in place
-            op *= ph
-            ops.append(op)
+        ops = [ph * operator(D, steps + [undo] * fires)
+               for _, steps, fires, ph, _ in parts]
         tops = [top(op) for op in ops]
     # each class's ties at (row, column) of O^dag U; the first of theirs
     cands = [((x + _scatter(i % D, quantum), x + _scatter(i // D, quantum)),
@@ -551,20 +555,14 @@ def _approx_fails(spec, quantum, parts):
     v = min(_top([v for _, v in cands]), key=lambda iv: cands[iv[0]][0])[1]
     z, err = v / abs(v), 0.0
     for op in ops:
-        if q < _PURE:
+        if pure:
             op[::D + 1] = [u - z for u in op[::D + 1]]
             err = max(err, _norm(D, op))
         else:
             op.flat[::D + 1] -= z
             err = max(err, spectral_norm(op))
-    return _spectral_fails(err, spec.epsilon)
-
-
-def _spectral_fails(err, epsilon):
-    """An approximate target's FAIL line, if its spectral error is too
-    large."""
-    return ["spectral error %.3e > epsilon %g" % (err, epsilon)] \
-        if err > epsilon else []
+    return ["spectral error %.3e > epsilon %g" % (err, spec.epsilon)] \
+        if err > spec.epsilon else []
 
 
 def _dense_fails(miss):
@@ -588,36 +586,6 @@ def _basis(c, spec, k):
     return None
 
 
-def _inputs(c, spec):
-    """How many basis inputs the spec allows: a clean ancilla, the top
-    wire, is 0."""
-    return 1 << (c.num_qubits - (spec.ancilla == "clean"))
-
-
-def _dense(c, spec):
-    """Every basis input the spec allows (:func:`_inputs`) of a circuit the
-    split check declines, each held to the rule of :func:`_errors` through
-    the sparse kernel (:func:`_basis`); for an approximate target (a
-    circuit whose classical wire ends wrong: a hand-made one, never a
-    build), D = O^dag U formed in place from the lowered circuit's identity
-    columns, _AMPS amplitudes at a time, whose D - e^{i phi} I has the
-    spectral norm of U - e^{i phi} O, since O is unitary, held to
-    epsilon."""
-    nq, n = c.num_qubits, spec.n
-    dim, k = 1 << nq, _inputs(c, spec)
-    if spec.epsilon is not None:
-        from .sim import apply, largest, spectral_norm
-        low, step = lower(c), max(1, _AMPS >> nq)
-        D = np.empty((dim, k), dtype=complex)
-        for j in range(0, k, step):
-            D[:, j:j + step] = apply(low, np.eye(dim, min(step, k - j), -j))
-        D = apply_oracle(D, n, [adjoint(W) for W in spec.ws])
-        D.flat[::k + 1] -= np.exp(1j * np.angle(
-            largest(D, max(1, _AMPS // k))))
-        return k, _spectral_fails(spectral_norm(D), spec.epsilon)
-    return k, _dense_fails(_basis(c, spec, k))
-
-
 def _patterns(k, rng):
     """Sets of cleared controls among k: none, each one, each pair (a drawn
     sample above _ALL_PAIRS controls), then up to 200 drawn sets of 3-8."""
@@ -636,10 +604,14 @@ def _patterns(k, rng):
 
 
 def _sparse_inputs(spec, nq, rng):
-    """The sparse tier's inputs and a label for each.  Basis controls take
-    the patterns of :func:`_patterns`, with both ancilla values in dirty
-    mode, and targets random basis values; an approximate circuit's base
-    controls and target instead hold one random state per input."""
+    """The sparse tier's inputs: a label for each, and the inputs as sparse
+    rows (:func:`sparse_apply`), in batches that spread to at most MAX_ROWS
+    rows.  Basis controls take the patterns of :func:`_patterns`, with both
+    ancilla values in dirty mode, and targets random basis values; an
+    approximate circuit's base controls and target instead hold one random
+    state per input.  An input spreads to at most 2^h rows, h the number
+    of wires that may hold amplitudes: those base controls and the
+    targets."""
     from .sim import random_state
     n, m = spec.n, len(spec.ws)
     dense = [] if spec.n_b is None else list(range(spec.n_b + 1)) + [n]
@@ -647,24 +619,32 @@ def _sparse_inputs(spec, nq, rng):
     inputs = [(p, a) for p in _patterns(len(basis), rng)
               for a in ((0, 1) if spec.ancilla == "dirty" else (0,))]
     K, D = len(inputs), 1 << len(dense)
-    _check_rows(K * D)
-    bits = np.zeros((nq, K, D), dtype=bool)
-    bits[basis] = True
-    for i, (p, a) in enumerate(inputs):
-        bits[[basis[j] for j in p], i] = False
-        bits[n + m:, i] = a
+    spread = 1 << len(set(dense).union(range(n, n + m)))
+    _check_rows(spread)
+    step = MAX_ROWS // spread
     free = [q for q in range(n, n + m) if q not in dense]
-    bits[free] = rng.integers(2, size=(len(free), K, 1))
-    for j, q in enumerate(dense):
-        bits[q] = (np.arange(D) >> j) & 1
-    amp = np.stack([random_state(len(dense), rng) for _ in range(K)]) \
-        if dense else np.ones((K, 1), dtype=complex)
+    drawn = rng.integers(2, size=(len(free), K, 1))
     labels = ["controls cleared: %s%s" % (
         ",".join(str(basis[j]) for j in p) or "none",
         ", ancilla %d" % a if spec.ancilla == "dirty" else "")
         for p, a in inputs]
-    return (bits.reshape(nq, K * D), amp.reshape(-1),
-            np.repeat(np.arange(K), D)), labels
+
+    def batches():
+        for j in range(0, K, step):
+            part = inputs[j:j + step]
+            bits = np.zeros((nq, len(part), D), dtype=bool)
+            bits[basis] = True
+            for i, (p, a) in enumerate(part):
+                bits[[basis[x] for x in p], i] = False
+                bits[n + m:, i] = a
+            bits[free] = drawn[:, j:j + step]
+            for x, q in enumerate(dense):
+                bits[q] = (np.arange(D) >> x) & 1
+            amp = np.stack([random_state(len(dense), rng) for _ in part]) \
+                if dense else np.ones((len(part), 1), dtype=complex)
+            yield (bits.reshape(nq, -1), amp.reshape(-1),
+                   np.repeat(np.arange(len(part)), D)), len(part)
+    return labels, batches()
 
 
 def _held(c, spec, bits, amp, owner, k):
@@ -689,12 +669,16 @@ def _held(c, spec, bits, amp, owner, k):
 def _sparse(c, spec):
     """Every near-firing input (:func:`_sparse_inputs`) must come out as
     the oracle says, by the rule of :func:`_errors`."""
-    (bits, amp, owner), labels = _sparse_inputs(
-        spec, c.num_qubits, np.random.default_rng(_SEED))
-    k = len(labels)
-    err, bad = _held(c, spec, bits, amp, owner, k)
+    labels, batches = _sparse_inputs(spec, c.num_qubits,
+                                     np.random.default_rng(_SEED))
+    err, bad = [], []
+    for rows, size in batches:
+        e, b = _held(c, spec, *rows, size)
+        bad += (len(err) + b).tolist()
+        err += e.tolist()
+    k = len(err)
     return k, ["sparse check failed on %d of %d inputs; first: %s, "
-               "distance %.3e" % (bad.size, k, labels[i], err[i])
+               "distance %.3e" % (len(bad), k, labels[i], err[i])
                for i in bad[:1]]
 
 
@@ -709,14 +693,17 @@ def verify_circuit(c, spec) -> Verdict:
     if got != want:
         fails.append("cnot count %d != %d" % (got, want))
     split = _split(c, spec)
-    if split is not None:
-        tier, inputs, more = "dense", _inputs(c, spec), split
-    elif c.num_qubits <= DENSE_CAP:
-        tier, (inputs, more) = "dense", _dense(c, spec)
-    else:
+    if split is None and c.num_qubits > DENSE_CAP:
         tier, (inputs, more) = "sparse", _sparse(c, spec)
+    else:
+        # every basis input the spec allows: a clean ancilla, the top
+        # wire, is 0
+        tier, inputs = "dense", 1 << (c.num_qubits
+                                      - (spec.ancilla == "clean"))
+        more = _dense_fails(_basis(c, spec, inputs)) if split is None \
+            else split
     note = spec.dropped()
-    if spec.epsilon is not None and tier != "dense":
+    if spec.epsilon is not None and split is None:
         note = ("; the per-column epsilon check is necessary, "
                 "not sufficient, for the spectral bound")
     return Verdict(tier, inputs, tuple(fails + more), note)

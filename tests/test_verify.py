@@ -334,34 +334,64 @@ def _spectral_errors(monkeypatch):
 
 
 def test_dense_approx_error_is_the_spectral_distance(monkeypatch):
-    # the dense error against spectral_distance(U, O) within 1e-12, on the
-    # circuit and seeded mutants: the class check's, its operators in
-    # Python (3 quantum wires at n = 7) or numpy (6 at n = 10), or on a
-    # mutant whose classical wire ends wrong, which the class check
-    # declines, the in-place D = O^dag U (at n = 7 only: at 11 qubits it
-    # costs seconds)
+    # the class check's error against spectral_distance(U, O) within 1e-12,
+    # on the circuit, its operators in Python (3 quantum wires at n = 7) or
+    # numpy (6 at n = 10), and on every seeded mutant: a control that ends
+    # wrong joins the quantum wires, so the class check takes each one
     got = _spectral_errors(monkeypatch)
     for n, gate, path in ((7, rz_mat(np.pi / 8), "python"),
                           (10, X, "numpy")):
         c, spec = bench.build("approx-u", n, gate=gate)
         O = apply_oracle(np.eye(2 << n), n, spec.ws)
-        errs, taken = [], []
+        errs = []
         for m in [c] + list(_mutants(c, np.random.default_rng(3), 6)):
             got.clear()
             fails = verify._split(m, spec)
-            taken.append(fails is not None)
-            if fails is not None:
+            assert fails is not None
+            if m is c:
                 assert {p for p, _ in got} == {path}
-            elif n > 7:
-                continue
-            else:
-                fails = verify._dense(m, spec)[1]
             errs.append(max(e for _, e in got))
             assert abs(errs[-1] - spectral_distance(unitary_of(lower(m)),
                                                     O)) < 1e-12
             assert (fails != []) == (errs[-1] > spec.epsilon)
         assert max(errs) > 0.5
-        assert taken[0] and sum(taken) >= 3 and not all(taken), taken
+
+
+def _wrong_control(n):
+    """approx-u circuits on n controls whose control 0 ends wrong on some
+    inputs, each with its W: the same blocks, and so the same spectral
+    error, at every n >= 4."""
+    return [([Gate("CCX", (2, 1, 0)), Gate("CU2", (0, n), matrix=H)], H),
+            ([Gate("CX", (1, 0))], rz_mat(0.4)),
+            ([Gate("X", (0,)), Gate("CU2", (1, n), matrix=X)], X),
+            ([Gate("CX", (3, 0)), Gate("Rz", (1,), angle=1.0),
+              Gate("CX", (1, 2))], H)]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_a_control_that_ends_wrong_joins_the_quantum_wires(monkeypatch,
+                                                           case):
+    # the dense tier holds each circuit to the spectral bound by classes,
+    # also past 11 qubits, with the error spectral_distance gives at 10
+    # qubits; sim.apply never runs in verify_circuit
+    def no_apply(*args):
+        raise AssertionError("verify_circuit ran sim.apply")
+    want = None
+    for n in (9, 13):
+        gates, W = _wrong_control(n)[case]
+        c, spec = Circuit(n + 1, gates), Spec("approx-u", n, (W,),
+                                              epsilon=0.1, n_b=0)
+        if want is None:
+            want = spectral_distance(unitary_of(lower(c)), apply_oracle(
+                np.eye(2 << n), n, spec.ws))
+            assert want > 1
+        got = _spectral_errors(monkeypatch)
+        monkeypatch.setattr(sim, "apply", no_apply)
+        v = verify_circuit(c, spec)
+        monkeypatch.undo()
+        assert (v.tier, v.inputs) == ("dense", 2 << n)
+        assert v.fails[-1] == "spectral error %.3e > epsilon 0.1" % want
+        assert abs(max(e for _, e in got) - want) < 1e-12
 
 
 @pytest.mark.parametrize("gates", [
@@ -739,3 +769,39 @@ def test_split_check_work_bound_is_six_targets():
     for m, declines in ((6, False), (7, True)):
         c, spec = bench.build("mcmt-su2", 4, m, gate=H)
         assert (verify._split(c, spec) is None) == declines
+
+
+@pytest.mark.parametrize("argv, rows, batches", [
+    ("mcmt-su2 --controls 31 --targets 1 --gate rz(0.4)", 1 << 6, 22),
+    ("mcx --controls 30 --ancilla dirty", 1 << 8, 11),
+    ("mcmt-x --controls 18 --targets 4", 1 << 9, 12),
+    ("approx-u --controls 27 --gate x --epsilon 0.1", 1 << 12, 14)])
+def test_sparse_tier_runs_in_batches_of_max_rows(capsys, monkeypatch, argv,
+                                                 rows, batches):
+    # with the row cap cut to a few inputs a batch, the sparse tier's line is
+    # the same: each input spreads to at most 2^h rows (h: the targets and
+    # approx-u's base controls), and no gate leaves a batch with more rows
+    # than the cap
+    assert cli.run(["verify"] + argv.split()) in (0, 1)
+    whole = capsys.readouterr().err
+    assert "tier=sparse" in whole
+    held, sizes = verify._held, []
+    monkeypatch.setattr(verify, "_held", lambda c, spec, *a: sizes.append(
+        a[-1]) or held(c, spec, *a))
+    monkeypatch.setattr(verify, "MAX_ROWS", rows)
+    assert cli.run(["verify"] + argv.split()) in (0, 1)
+    assert capsys.readouterr().err == whole
+    assert len(sizes) == batches and len(set(sizes[:-1])) == 1
+
+
+def test_an_input_past_max_rows_stops_the_sparse_tier(monkeypatch):
+    # 8 controls and 14 targets: each input spreads to 2^14 rows, so the
+    # 147 inputs run in two batches; with a cap below 2^14, not even one
+    # input fits
+    spec = Spec("mcmt-su2", 8, (H,) * 14)
+    labels, batches = verify._sparse_inputs(spec, 22,
+                                            np.random.default_rng(1))
+    assert [size for _, size in batches] == [128, len(labels) - 128]
+    monkeypatch.setattr(verify, "MAX_ROWS", (1 << 14) - 1)
+    with pytest.raises(ValueError, match="more than 16383 amplitudes"):
+        verify._sparse_inputs(spec, 22, np.random.default_rng(1))
