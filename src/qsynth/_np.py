@@ -9,10 +9,10 @@ Gate matrices are nested tuples ``((a, b), (c, d))`` of Python complex
 numbers, multiplied by the 2x2 helpers in ``ir``, so synthesis, export and
 count-only bench of every family never load numpy: only ``sim`` and
 ``verify`` do, and ``sim.gate_matrix`` turns each tuple into an array once.
-Even ``verify`` leaves it, and ``sim``, unloaded when its split check takes
-a circuit in pure Python (every ``mcx`` and ``mcmt-x`` build, ``mcmt-su2``
-builds up to 6 targets, and ``approx-u`` builds with at most 4 quantum
-wires, within ``verify._WORK``), which runs on Python ints and tuples.
+Even ``verify`` leaves it, and ``sim``, unloaded when its split check
+builds a circuit's operators in pure Python, on ints and tuples: every
+``mcx`` and ``mcmt-x`` build, ``mcmt-su2`` builds up to 6 targets, and
+``approx-u`` builds with at most 4 quantum wires, within ``verify._WORK``.
 Three rules keep it that way:
 
 - ``sim`` and ``verify`` take numpy as ``from ._np import np``, never

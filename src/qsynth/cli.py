@@ -113,7 +113,7 @@ def parse_gate_spec(text):
     import json
     try:
         data = json.loads(s)
-    except ValueError:
+    except (ValueError, RecursionError):
         raise UsageError("unknown gate %r (use x, z, s, t, h, rx(a), ry(a), "
                          "rz(a), or a JSON 2x2 matrix)" % (text,))
     return _matrix_from_json(data)

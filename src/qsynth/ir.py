@@ -552,7 +552,10 @@ def parse_json(text: str) -> Circuit:
     import json
     from .bench import COUNT_ONLY_MAX_N
     widest = 2 * COUNT_ONLY_MAX_N + 1   # mcmt-x at the cap: n + m + 1 qubits
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("circuit JSON nests too deeply") from None
     if not (isinstance(doc, dict) and type(doc.get("n")) is int
             and 0 <= doc["n"] <= widest
             and isinstance(doc.get("gates"), list)):

@@ -5,21 +5,18 @@ controls on wires [0, n), W_j on wire n + j and at most one ancilla after
 them.  It checks the CX count against :data:`CNOT_TABLE`, then runs the
 tier the circuit and its register size select:
 
-- dense: every basis input the spec allows.  A circuit whose ancilla, and
-  an exact target's controls, only ever get X, CX, CCX and RCCX gates
-  among classical wires runs split (:func:`_split`) on any register whose
-  classical wires take at most :data:`SLICED_INPUTS` inputs: the
-  classical wires bit-sliced on Python ints, the few wires that hold
-  amplitudes as one small operator per class of inputs.  An exact target
-  is held to its oracle column by column, in pure Python; that covers
-  every ``mcx``, ``mcmt-x`` and ``mcmt-su2`` build up to 6 targets.  An
-  approximate one is held to its spectral bound, block by block, with
-  every classical wire that ends wrong among the quantum ones: in pure
-  Python up to _PURE quantum wires and _WORK entries, in numpy above.
-  That takes every approximate circuit of at most 11 qubits.  Any other
-  circuit of at most 11 qubits runs through the sparse tier's kernel,
-  _AMPS >> q inputs per run;
-- sparse (every other circuit of 12 qubits and up): near-firing inputs
+- dense: every basis input the spec allows, by the split check
+  (:func:`_split`) on any register whose classical wires take at most
+  :data:`SLICED_INPUTS` inputs: the classical wires bit-sliced on Python
+  ints, the few wires that hold amplitudes as one small operator per class
+  of inputs, held to the oracle's block by wire role: column by column for
+  an exact target, in spectral norm for an approximate one, whose
+  classical wires that end wrong join the quantum ones.  The operators are
+  pure Python up to _WORK entries (and _PURE approximate quantum wires),
+  numpy arrays up to _WIDE.  That takes every circuit of at most 11
+  qubits, every ``mcx`` and ``mcmt-x`` build up to 2^21 inputs, and
+  ``mcmt-su2`` up to 2^21 control inputs and 10 targets;
+- sparse (every other circuit, of 12 qubits and up): near-firing inputs
   through a basis-index -> amplitude simulator (Jaques & Haner,
   arXiv:2105.01533) on int64 keys, vectorised over the inputs, in batches
   that spread to at most MAX_ROWS rows.  It runs the macro gates with the
@@ -30,19 +27,13 @@ memory grow with k, the sparse tier's with the width of the register.  The
 budget stops at 2^21 inputs (an mcx on 21 qubits with a dirty ancilla, on
 22 with a clean one), the last power of two at which the bit-sliced check
 still peaks below the sparse tier: a fresh verify process peaks at 28 MB
-against 36 at 2^21 inputs, and at 41 MB against 37 at 2^22.  Its operators
-hold 4^|quantum| entries per class, so it declines past _WORK of them for
-an exact target, where the kernel or the sparse tier is faster, and past
-_WIDE for an approximate one.
+against 36 at 2^21 inputs, and at 41 MB against 37 at 2^22.
 
 Every exact check simulates macro gates; that lowering preserves them is
-tested on its own.  Only the kernel, the sparse tier and the approximate
-checks past _PURE quantum wires or _WORK entries load ``sim`` (and with it
-numpy); no check runs ``sim.apply``.
-
-Every tier holds each input to the one rule of :func:`_errors`, except
-that the dense tier holds an approximate target's unitary to its spectral
-bound.
+tested on its own.  Only the sparse tier and numpy operators load ``sim``
+(and with it numpy); no check runs ``sim.apply``.  Every tier holds each
+input to the one rule of :func:`_errors`, except that the dense tier holds
+an approximate target's unitary to its spectral bound.
 """
 from __future__ import annotations
 
@@ -57,9 +48,7 @@ from .bench import Spec  # re-exported: the spec verify_circuit checks
 from .ir import (IDENTITY, PHASE_TIE, Circuit, Gate, adjoint, check_unitary,
                  cnot_count, dist, fixed_matrix, target_matrix)
 
-DENSE_CAP = 11         # widest dense register off the split check
 SLICED_INPUTS = 1 << 21  # most classical inputs of a split check
-_AMPS = 1 << 17        # rows per dense run: 128 basis inputs at 10 qubits
 _SEED = 20240811
 _TOL = 1e-9            # largest entry error of an exact target, every tier
 _TINY = 1e-12          # amplitudes dropped after a gate spreads the rows
@@ -67,9 +56,8 @@ MAX_ROWS = 1 << 21     # sparse rows per batch: 48 MB, 370-760 MB at peak
 _WORD = 63             # key bits per int64 word; the sign bit stays clear
 _ALL_PAIRS = 64        # up to this many controls, every pair is cleared
 _PERMUTING = frozenset({"X", "CX", "CCX", "RCCX"})  # phased permutations
-_WORK = 1 << 14        # most classes x 4^|quantum| of an exact split
-                       # check, and of approximate operators in Python
-_WIDE = 1 << 22        # the same for an approximate target: 64 MB in numpy
+_WORK = 1 << 14        # most classes x 4^|quantum| of operators in Python
+_WIDE = 1 << 22        # the same of any split check, in numpy: 64 MB
 _PURE = 4              # most quantum wires of approximate operators in
                        # Python; numpy's import costs more from 5
 
@@ -274,20 +262,19 @@ def _quantum(c, spec, extra=()):
     """The wires that need amplitudes: an approximate target, the exact
     targets whose W is not exactly X and the ``extra`` wires, closed over
     the target of every gate outside _PERMUTING and of every gate with a
-    quantum control; None if an ancilla is one, or a control of an exact
-    target.  An approximate target is always one, so its quantum controls
-    sit below it."""
-    n, X, approx = spec.n, fixed_matrix("X"), spec.epsilon is not None
+    quantum control, and over every target once a control is one, as the
+    oracle's action on each target then depends on it."""
+    n, m, approx = spec.n, len(spec.ws), spec.epsilon is not None
     quantum, size = {n + j for j, W in enumerate(spec.ws)
-                     if approx or dist(W, X)} | set(extra), -1
+                     if approx or dist(W, _X)} | set(extra), -1
     while size < len(quantum):
         size = len(quantum)
         quantum.update(g.qubits[-1] for g in c.gates
                        if g.kind not in _PERMUTING
                        or not quantum.isdisjoint(g.qubits[:-1]))
-    low = 0 if approx else n
-    return sorted(quantum) if all(low <= q < n + len(spec.ws)
-                                  for q in quantum) else None
+        if min(quantum, default=n) < n:
+            quantum.update(range(n, n + m))
+    return sorted(quantum)
 
 
 def _slice(c, wires, k, quantum=()):
@@ -424,17 +411,16 @@ def _split(c, spec, extra=()):
     on whether a classical wire ends wrong; they then share one operator on
     the quantum wires.  For an approximate target a classical wire that
     ends wrong joins the quantum wires (``extra``), and the check runs
-    again.  Declines a quantum ancilla, a quantum control of an exact
-    target, more than SLICED_INPUTS classical inputs and more operator
-    entries, classes x 4^|quantum|, than _WORK for an exact target or
-    _WIDE for an approximate one; every circuit of at most 11 qubits fits
-    the latter, as 2^c * 4^q <= 2^22 when c + q <= 11."""
+    again.  Declines more than SLICED_INPUTS classical inputs and more
+    than _WIDE operator entries, classes x 4^|quantum|; every circuit of
+    at most 11 qubits fits, as 2^c * 4^q <= 2^22 when c + q <= 11."""
     quantum = _quantum(c, spec, extra)
-    if quantum is None:
-        return None
     nq, n, D = c.num_qubits, spec.n, 1 << len(quantum)
     classical = [q for q in range(nq) if q not in quantum]
-    k = 1 << (len(classical) - (spec.ancilla == "clean"))
+    # a clean ancilla, the top wire, starts at 0: as a classical wire it
+    # takes no inputs, as a quantum one no columns
+    clean = spec.ancilla == "clean"
+    k = 1 << (len(classical) - (clean and nq - 1 in classical))
     if k > SLICED_INPUTS:
         return None
     wires = [None] * nq
@@ -463,7 +449,6 @@ def _split(c, spec, extra=()):
         reads.append(cl)
     # classes: the inputs split by each of those masks, then by firing, the
     # power of i and a wrong classical wire
-    work = _WORK if spec.epsilon is None else _WIDE
     classes = [((1 << k) - 1, ())]
     for mask in [v for cl in reads for _, v in cl] + [fire, lo, hi, moved]:
         split = []
@@ -473,7 +458,7 @@ def _split(c, spec, extra=()):
                 split.append((inputs ^ part, bits + (0,)))
             split.append((part or inputs, bits + (1 if part else 0,)))
         classes = split
-        if len(classes) * D * D > work:
+        if len(classes) * D * D > _WIDE:
             return None
 
     pos, parts = {q: i for i, q in enumerate(quantum)}, []
@@ -495,58 +480,83 @@ def _split(c, spec, extra=()):
         x = _scatter((inputs & -inputs).bit_length() - 1, classical)
         parts.append((x, steps, fires, 1j ** (p_lo + 2 * p_hi), wrong))
     if spec.epsilon is None:
-        return _class_fails(spec, quantum, parts)
+        return _class_fails(spec, quantum, parts,
+                            D >> (clean and nq - 1 in pos))
     return _approx_fails(spec, quantum, parts)
 
 
-def _class_fails(spec, quantum, parts):
+def _oracle(spec, quantum):
+    """The oracle's block on the quantum wires of an input whose classical
+    controls fire, as steps of :func:`_operator`: C^{quantum controls}(W_j)
+    on each quantum target n + j, the identity on every other quantum
+    wire, such as an ancilla or a wire outside the spec."""
+    n, pos = spec.n, {q: i for i, q in enumerate(quantum)}
+    ctl = tuple((pos[q], 1) for q in quantum if q < n)
+    return [(pos[n + j], ctl, check_unitary(W))
+            for j, W in enumerate(spec.ws) if n + j in pos]
+
+
+def _class_fails(spec, quantum, parts, cols):
     """Each class's operator on the quantum wires, times its power of i,
-    must equal the oracle's block, column by column; a wrong classical wire
-    fails every column, by the largest entry of either.  The FAIL line of
-    the first input that breaks the rule of :func:`_errors`, if any."""
-    n, D = spec.n, 1 << len(quantum)
-    oracle = _operator(D, [(quantum.index(n + j), (), check_unitary(W))
-                           for j, W in enumerate(spec.ws) if n + j in quantum])
-    one = _operator(D, [])
-    first = None
-    for x, steps, fires, ph, wrong in parts:
-        T = _operator(D, steps)
-        O = oracle if fires else one
-        for y in range(0, D * D, D):
-            col, want_col = T[y:y + D], O[y:y + D]
-            err = max(max(map(abs, col)), max(map(abs, want_col))) if wrong \
-                else max(abs(ph * u - w) for u, w in zip(col, want_col))
-            if err > _TOL:
-                j = x + _scatter(y // D, quantum)
-                if first is None or j < first[1]:
-                    first = err, j
-                break
-    return _dense_fails(first)
+    must equal the oracle's block (:func:`_oracle`) if its classical
+    controls fire, else I, in each of its first ``cols`` columns (a
+    quantum clean ancilla, the top wire, is set in the others); a wrong
+    classical wire fails every column, by the largest entry of either.
+    The operators stay in Python up to _WORK entries in all; others are
+    numpy arrays (``sim.operator``), one class at a time.  The FAIL line
+    of the first input that breaks the rule of :func:`_errors`, if any."""
+    D = 1 << len(quantum)
+    pure = len(parts) * D * D <= _WORK
+    if pure:
+        blocks = _operator(D, []), _operator(D, _oracle(spec, quantum))
+    else:
+        from .sim import operator
+        blocks = np.eye(D), operator(D, _oracle(spec, quantum))
+
+    def errors(steps, O, ph, wrong):
+        # each column's largest entry error
+        if pure:
+            T = _operator(D, steps)
+            return [max(map(abs, T[y:y + D] + O[y:y + D])) if wrong else
+                    max(abs(ph * u - w) for u, w in zip(T[y:y + D],
+                                                        O[y:y + D]))
+                    for y in range(0, cols * D, D)]
+        T = operator(D, steps)    # in place: one operator at a time
+        if not wrong:
+            T *= ph
+            T -= O
+        return (np.maximum(abs(T).max(axis=0), abs(O).max(axis=0)) if wrong
+                else abs(T).max(axis=0))[:cols].tolist()
+
+    # (input, error) of each failing column
+    fails = [(x + _scatter(y, quantum), e)
+             for x, steps, fires, ph, wrong in parts
+             for y, e in enumerate(errors(steps, blocks[fires], ph, wrong))
+             if e > _TOL]
+    return _dense_fails(min(fails)[::-1] if fails else None)
 
 
 def _approx_fails(spec, quantum, parts):
     """The spectral bound on every input.  With every classical wire right,
     U - e^{i phi} O is block-diagonal, one block i^p T - e^{i phi} O_c per
-    class, where O_c, the oracle's block, is C^{quantum controls}(W) if the
-    classical controls fire, else I: the norm is the largest of
-    ||i^p O_c^dag T - e^{i phi} I||.  phi follows sim._aligned, the phase
-    of the first largest entry of O^dag U, each class's entries at their
-    places in its first input's rows and columns.  The operators stay in
-    Python up to _PURE quantum wires and _WORK entries in all, and the
-    norm is :func:`_norm`; others are numpy arrays (``sim.operator``,
-    ``sim.spectral_norm``)."""
-    D, q = 1 << len(quantum), len(quantum) - 1
-    # every quantum wire but the one target, the top one, is a control
-    undo = (q, tuple((i, 1) for i in range(q)),
-            adjoint(check_unitary(spec.ws[0])))
-    pure = q < _PURE and len(parts) * D * D <= _WORK
+    class, where O_c, the oracle's block (:func:`_oracle`), is
+    C^{quantum controls}(W) if the classical controls fire, else I: the
+    norm is the largest of ||i^p O_c^dag T - e^{i phi} I||.  phi follows
+    sim._aligned, the phase of the first largest entry of O^dag U, each
+    class's entries at their places in its first input's rows and columns.
+    The operators stay in Python up to _PURE quantum wires and _WORK
+    entries in all, and the norm is :func:`_norm`; others are numpy arrays
+    (``sim.operator``, ``sim.spectral_norm``)."""
+    D = 1 << len(quantum)
+    undo = [(t, ctl, adjoint(M)) for t, ctl, M in _oracle(spec, quantum)]
+    pure = len(quantum) <= _PURE and len(parts) * D * D <= _WORK
     if pure:
-        ops = [[ph * u for u in _operator(D, steps + [undo] * fires)]
+        ops = [[ph * u for u in _operator(D, steps + undo * fires)]
                for _, steps, fires, ph, _ in parts]
         tops = [_top(op) for op in ops]
     else:
         from .sim import operator, spectral_norm, top
-        ops = [ph * operator(D, steps + [undo] * fires)
+        ops = [ph * operator(D, steps + undo * fires)
                for _, steps, fires, ph, _ in parts]
         tops = [top(op) for op in ops]
     # each class's ties at (row, column) of O^dag U; the first of theirs
@@ -568,22 +578,6 @@ def _approx_fails(spec, quantum, parts):
 def _dense_fails(miss):
     """The dense tier's FAIL line, on the first failing input."""
     return ["dense check distance %.3e (input %d)" % miss] if miss else []
-
-
-def _basis(c, spec, k):
-    """The first of basis inputs 0..k-1 that breaks the rule of
-    :func:`_errors`, as (distance, input), or None.  A run takes _AMPS >> q
-    inputs, and an input spreads to at most 2^q rows, so no run holds more
-    than _AMPS rows."""
-    nq = c.num_qubits
-    step = max(1, _AMPS >> nq)
-    for j in range(0, k, step):
-        i = np.arange(j, min(j + step, k))
-        err, bad = _held(c, spec, (i >> np.arange(nq)[:, None] & 1) == 1,
-                         np.ones(len(i), dtype=complex), i - j, len(i))
-        if bad.size:
-            return err[bad[0]], j + bad[0]
-    return None
 
 
 def _patterns(k, rng):
@@ -684,26 +678,18 @@ def _sparse(c, spec):
 
 def verify_circuit(c, spec) -> Verdict:
     """CX count plus the check of the tier the circuit and its register
-    size select: dense if the split check takes the circuit or it has at
-    most DENSE_CAP qubits, else sparse."""
+    size select: dense if the split check takes the circuit, which it does
+    for every circuit of at most 11 qubits, else sparse."""
     want = CNOT_TABLE[spec.target](spec.n, len(spec.ws), spec.ancilla,
                                    spec.n_b)
     got = cnot_count(c)
-    fails = []
-    if got != want:
-        fails.append("cnot count %d != %d" % (got, want))
-    split = _split(c, spec)
-    if split is None and c.num_qubits > DENSE_CAP:
+    fails = ["cnot count %d != %d" % (got, want)] if got != want else []
+    more, note = _split(c, spec), spec.dropped()
+    if more is None:
         tier, (inputs, more) = "sparse", _sparse(c, spec)
-    else:
-        # every basis input the spec allows: a clean ancilla, the top
-        # wire, is 0
-        tier, inputs = "dense", 1 << (c.num_qubits
-                                      - (spec.ancilla == "clean"))
-        more = _dense_fails(_basis(c, spec, inputs)) if split is None \
-            else split
-    note = spec.dropped()
-    if spec.epsilon is not None and split is None:
-        note = ("; the per-column epsilon check is necessary, "
-                "not sufficient, for the spectral bound")
+        if spec.epsilon is not None:
+            note = ("; the per-column epsilon check is necessary, "
+                    "not sufficient, for the spectral bound")
+    else:   # every basis input the spec allows; a clean ancilla is 0
+        tier, inputs = "dense", 1 << c.num_qubits - (spec.ancilla == "clean")
     return Verdict(tier, inputs, tuple(fails + more), note)

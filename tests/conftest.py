@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qsynth.verify as verify
 from qsynth.ir import ANGLE_KINDS, ARITY, MATRIX_KINDS, Circuit, Gate
 
 # ---------------------------------------------------------------------------
@@ -57,6 +58,24 @@ def random_circuit(nq, rng, copies=4):
                              angle=rng.normal() if k in ANGLE_KINDS else None,
                              matrix=random_su2(rng) if k in MATRIX_KINDS
                              else None) for k in rng.permutation(kinds)])
+
+
+def kernel_fails(c, spec):
+    """The dense tier's FAIL line from the sparse tier's kernel
+    (``verify._held``) run on every basis input the spec allows, a clean
+    ancilla (the top wire) at 0, 2^17 rows a run: the first input that
+    breaks verify's rule, with its distance, or []."""
+    nq = c.num_qubits
+    k, step = 1 << (nq - (spec.ancilla == "clean")), max(1, (1 << 17) >> nq)
+    for j in range(0, k, step):
+        i = np.arange(j, min(j + step, k))
+        err, bad = verify._held(c, spec, (i >> np.arange(nq)[:, None] & 1)
+                                == 1, np.ones(len(i), dtype=complex), i - j,
+                                len(i))
+        if bad.size:
+            return ["dense check distance %.3e (input %d)"
+                    % (err[bad[0]], j + bad[0])]
+    return []
 
 
 @pytest.fixture

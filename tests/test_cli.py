@@ -234,6 +234,22 @@ def test_export_takes_the_widest_register_synth_emits(tmp_path, capsys):
     assert code == 0 and "qubit[8193] q;" in out
 
 
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    # json.loads stops on deep nesting with RecursionError: a circuit file
+    # and a --gate matrix nested that deep exit 2 with a message, and not 1,
+    # the code of a failed verification, with a traceback
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 200000)
+    code, out, err = invoke(capsys, "export", "--in", str(src))
+    assert (code, out, err) == (2, "", "error: circuit JSON nests too "
+                                       "deeply\n")
+    code, out, err = invoke(capsys, "synth", "mcmt-su2", "--controls", "3",
+                            "--targets", "1", "--gate", "[" * 20000)
+    assert (code, out) == (2, "")
+    assert "error: argument --gate: unknown gate '[[[" in err
+    assert "Traceback" not in err
+
+
 def test_parse_angle(capsys):
     assert parse_angle("pi/2") == pytest.approx(math.pi / 2)
     assert parse_angle("-3*pi/4") == pytest.approx(-3 * math.pi / 4)

@@ -14,8 +14,8 @@ from qsynth.su2 import mcmt_x
 from qsynth.verify import (Spec, Verdict, apply_oracle, sparse_apply,
                            verify_circuit)
 
-from conftest import (H, X, mcmt_oracle, product_state, random_circuit,
-                      random_su2)
+from conftest import (H, X, kernel_fails, mcmt_oracle, product_state,
+                      random_circuit, random_su2)
 
 
 def test_oracle_matches_reference(rng):
@@ -176,23 +176,26 @@ def test_verify_names_its_tier(capsys, argv, tier):
 def test_spot_tier_sees_a_phase_that_depends_on_the_controls(target, n):
     # Rz on control 0 keeps the CX count and maps each basis pattern of the
     # controls to itself up to a phase, which moves with control 0: the
-    # exact targets get no phase freedom, so the firing input 0 fails first.
-    # The Rz makes control 0 quantum and keeps the mutant in the sparse tier;
-    # the good circuits run bit-sliced in the dense tier, and the sparse tier
-    # on them directly
+    # exact targets get no phase freedom, so every input fails, by
+    # |e^{0.15i} - 1|.  The Rz makes control 0 quantum; the split check
+    # takes the mutant, as it does the good circuits, in the dense tier, and
+    # the sparse tier runs on both directly, where the firing input fails
+    # first
     c, spec = bench.build(target, n, 2)
     bad = Circuit(c.num_qubits, c.gates + (Gate("Rz", (0,), angle=0.3),),
                   c.ancilla_roles)
-    k = {"mcmt-su2": 233, "mcmt-x": 190}[target]
+    k, inputs = {"mcmt-su2": (233, 4096), "mcmt-x": (190, 2048)}[target]
     assert Verdict("sparse", *verify._sparse(c, spec)).lines() \
         == ["ok tier=sparse inputs=%d" % k]
-    assert verify_circuit(c, spec).lines() == [{
-        "mcmt-su2": "ok tier=dense inputs=4096",
-        "mcmt-x": "ok tier=dense inputs=2048"}[target]]
-    v = verify_circuit(bad, spec)
-    assert (v.tier, v.inputs, len(v.fails)) == ("sparse", k, 1)
-    assert v.fails[0].startswith("sparse check failed on %d of %d inputs; "
-                                 "first: controls cleared: none," % (k, k))
+    assert verify_circuit(c, spec).lines() == ["ok tier=dense inputs=%d"
+                                               % inputs]
+    assert verify_circuit(bad, spec).lines() == [
+        "FAIL tier=dense inputs=%d: dense check distance %.3e (input 0)"
+        % (inputs, abs(np.exp(0.15j) - 1))]
+    sparse, fails = verify._sparse(bad, spec)
+    assert (sparse, len(fails)) == (k, 1)
+    assert fails[0].startswith("sparse check failed on %d of %d inputs; "
+                               "first: controls cleared: none," % (k, k))
 
 
 def test_approx_spot_verdict_says_it_checks_columns(capsys):
@@ -209,7 +212,10 @@ def test_approx_spot_verdict_says_it_checks_columns(capsys):
 
 
 # an exact target gets no phase freedom: a global phase e^{0.3i} appended on
-# wire 0 must FAIL in every tier (dense or sparse by register size)
+# wire 0 must FAIL in every tier.  It makes control 0 quantum, and the split
+# check takes every case, so verify FAILs each in the dense tier on input 0;
+# the cases of 12 qubits and up, marked sparse, also FAIL the sparse tier,
+# run directly
 @pytest.mark.parametrize("target, n, ancilla, tier", [
     ("mcx", 6, "clean", "dense"), ("mcx", 6, "dirty", "dense"),
     ("mcx", 12, "clean", "sparse"), ("mcx", 12, "dirty", "sparse"),
@@ -225,8 +231,12 @@ def test_a_global_phase_fails_every_tier(target, n, ancilla, tier):
                   c.ancilla_roles)
     assert verify_circuit(c, spec).fails == ()
     v = verify_circuit(bad, spec)
-    assert (v.tier, len(v.fails)) == (tier, 1), v.lines()
-    assert v.fails[0].startswith(tier + " check")
+    assert (v.tier, v.fails) == ("dense", (
+        "dense check distance %.3e (input 0)" % abs(np.exp(0.3j) - 1),)), \
+        v.lines()
+    if tier == "sparse":
+        fails = verify._sparse(bad, spec)[1]
+        assert len(fails) == 1 and fails[0].startswith("sparse check")
 
 
 def _exact_on_the_dense_range():
@@ -251,53 +261,6 @@ def test_exact_targets_equal_their_oracle_with_no_phase(target, n, m,
     cols = np.eye(1 << nq)[:, :1 << (nq - (ancilla == "clean"))]
     want = apply_oracle(cols, n, spec.ws)
     assert np.abs(apply(lower(c), cols) - want).max() < 1e-12
-
-
-def test_dense_stacks_stay_within_the_amplitude_budget(monkeypatch):
-    # the sparse kernel runs on basis inputs 0..k-1, _AMPS >> q of them per
-    # run; an input spreads to at most 2^q rows, so no gate leaves a run
-    # with more than _AMPS rows, even with an H on each of ten targets, which
-    # verify sends to the kernel as past _WORK.  The good 8-control build
-    # is bit-sliced, and runs on the kernel directly; a wrong circuit on 10
-    # qubits with a quantum control, whose first failing input lies past the
-    # first run: the FAIL line names its index among all the inputs
-    runs, rows = [], []
-    held, gate = verify._held, verify._gate
-
-    def held_spy(c, spec, bits, amp, owner, k):
-        runs.append(k)
-        return held(c, spec, bits, amp, owner, k)
-
-    def gate_spy(*args):
-        out = gate(*args)
-        rows.append(len(out[1]))
-        return out
-    monkeypatch.setattr(verify, "_held", held_spy)
-    monkeypatch.setattr(verify, "_gate", gate_spy)
-    c, spec = bench.build("mcmt-su2", 1, 10, gate=H)
-    assert verify_circuit(c, spec).lines() == [
-        "ok tier=dense inputs=2048 dropped_phase=1.5708"]
-    assert runs == [verify._AMPS >> 11] * 32
-    assert verify._AMPS // 4 <= max(rows) <= verify._AMPS
-    c, spec = bench.build("mcmt-su2", 8, 2)
-    runs.clear()
-    assert verify_circuit(c, spec).lines() == ["ok tier=dense inputs=1024"]
-    assert runs == []
-    assert verify._basis(c, spec, 1024) is None
-    assert runs == [verify._AMPS >> 10] * 8
-    bad = Circuit(c.num_qubits, c.gates + (Gate("CX", (8, 0)),) * 2 + (
-        Gate("CCX", (7, 9, 2)),), c.ancilla_roles)
-    cols = np.eye(1 << 10)
-    err = np.abs(apply(lower(bad), cols) - apply_oracle(cols, 8, spec.ws))
-    first = int(np.flatnonzero(err.max(axis=0) > 1e-9)[0])
-    assert first >= verify._AMPS >> 10
-    runs.clear()
-    rows.clear()
-    v = verify_circuit(bad, spec)
-    assert v.fails[-1] == "dense check distance %.3e (input %d)" % (
-        err[:, first].max(), first)
-    assert runs == [verify._AMPS >> 10] * (first // (verify._AMPS >> 10) + 1)
-    assert max(rows) <= verify._AMPS
 
 
 def _mutants(c, rng, count):
@@ -458,31 +421,114 @@ def _any_mutants(c, rng, count):
         yield Circuit(c.num_qubits, gates, c.ancilla_roles)
 
 
+def _statevector_miss(c, spec):
+    """(distance, input) of the first basis input the spec allows (a clean
+    ancilla, the top wire, at 0) whose column of the lowered circuit leaves
+    the reference oracle's by more than 1e-9 in some entry, or None."""
+    nq = c.num_qubits
+    want = mcmt_oracle(nq, spec.n, range(spec.n, spec.n + len(spec.ws)),
+                       np.asarray(spec.ws))
+    k = 1 << (nq - (spec.ancilla == "clean"))
+    err = np.abs(unitary_of(lower(c))[:, :k] - want[:, :k]).max(axis=0)
+    bad = np.flatnonzero(err > 1e-9)
+    return (float(err[bad[0]]), int(bad[0])) if bad.size else None
+
+
 @pytest.mark.parametrize("n, m", [(1, 2), (1, 4), (2, 2), (3, 1), (3, 3),
                                   (4, 2), (5, 4), (6, 3), (7, 2), (2, 7),
                                   (8, 1), (1, 9), (8, 2)])
-def test_dense_mcmt_su2_verdicts_match_a_statevector_reference(n, m):
+def test_dense_mcmt_su2_verdicts_match_a_statevector_reference(monkeypatch,
+                                                              n, m):
     # each dense verdict on the build and six seeded mutants against the
     # lowered unitary's columns and the reference oracle: the same pass or
-    # fail, the same first failing input, the same distance within 1e-9
+    # fail, the same first failing input, the same distance within 1e-9;
+    # with 8 controls and 2 targets also a circuit with a quantum control
+    # whose first failing input lies past the first 128.  No check runs
+    # the sparse kernel
+    def no_kernel(*args):
+        raise AssertionError("verify_circuit ran the sparse kernel")
+    misses, dense_fails = [], verify._dense_fails
+    monkeypatch.setattr(verify, "_held", no_kernel)
+    monkeypatch.setattr(verify, "_dense_fails", lambda miss: misses.append(
+        miss) or dense_fails(miss))
     rng = np.random.default_rng(100 * n + m)
     gate = (H, random_su2(rng), rz_mat(0.7))[(n + m) % 3]
     c, spec = bench.build("mcmt-su2", n, m, gate=gate)
-    nq, fails = c.num_qubits, 0
-    want = mcmt_oracle(nq, n, range(n, n + m), np.asarray(spec.ws))
-    for mut in [c] + list(_any_mutants(c, rng, 6)):
-        err = np.abs(unitary_of(lower(mut)) - want).max(axis=0)
-        bad = np.flatnonzero(err > 1e-9)
-        got = verify._basis(mut, spec, 1 << nq)
+    circuits, fails = [c] + list(_any_mutants(c, rng, 6)), 0
+    if (n, m) == (8, 2):
+        circuits.append(Circuit(c.num_qubits, c.gates + (
+            Gate("CX", (8, 0)),) * 2 + (Gate("CCX", (7, 9, 2)),)))
+    for mut in circuits:
+        misses.clear()
+        want = _statevector_miss(mut, spec)
         lines = [f for f in verify_circuit(mut, spec).fails
                  if f.startswith("dense")]
-        if bad.size == 0:
-            assert got is None and lines == []
+        if want is None:
+            assert misses == [None] and lines == []
             continue
         fails += 1
-        assert got[1] == bad[0] and abs(got[0] - err[bad[0]]) < 1e-9
+        (got,) = misses
+        assert got[1] == want[1] and abs(got[0] - want[0]) < 1e-9
         assert lines == ["dense check distance %.3e (input %d)" % got]
     assert fails
+    if (n, m) == (8, 2):
+        assert want[1] >= 128
+
+
+_ON_ANCILLA = {"Z": Gate("U2", (0,), matrix=((1, 0), (0, -1))),
+               "Rz": Gate("Rz", (0,), angle=0.3), "H": Gate("H", (0,))}
+
+
+@pytest.mark.parametrize("target, n, m, ancilla", [
+    ("mcx", 5, 1, "clean"), ("mcx", 5, 1, "dirty"), ("mcx", 8, 1, "dirty"),
+    ("mcmt-x", 4, 2, "clean")])
+@pytest.mark.parametrize("kind", sorted(_ON_ANCILLA))
+def test_a_quantum_ancilla_gets_the_statevector_verdict(monkeypatch, target,
+                                                        n, m, ancilla, kind):
+    # one Z, Rz(0.3) or H on the ancilla, the top wire, after the circuit
+    # and halfway through it: the split check takes each mutant, with no
+    # kernel call, and gives the statevector reference's line.  Z after the
+    # circuit keeps a clean ancilla's 0 and fails a dirty one first where
+    # it is set, input 2^(n+1), by 2
+    def no_kernel(*args):
+        raise AssertionError("the split check ran the sparse kernel")
+    monkeypatch.setattr(verify, "_held", no_kernel)
+    c, spec = bench.build(target, n, m, ancilla)
+    g = _ON_ANCILLA[kind]._replace(qubits=(c.num_qubits - 1,))
+    half = len(c.gates) // 2
+    for gates in (c.gates + (g,), c.gates[:half] + (g,) + c.gates[half:]):
+        mut = Circuit(c.num_qubits, gates, c.ancilla_roles)
+        assert verify._quantum(mut, spec)[-1] == c.num_qubits - 1
+        miss, split = _statevector_miss(mut, spec), verify._split(mut, spec)
+        assert split == verify._dense_fails(miss)
+        if gates[-1] is g and kind == "Z":
+            assert split == ([] if ancilla == "clean" else [
+                "dense check distance 2.000e+00 (input %d)" % (2 << n)])
+        else:
+            assert miss is not None
+
+
+def test_approx_wire_outside_the_spec_is_held_to_the_bound(monkeypatch):
+    # the rz(pi/8) build on 7 controls with one more, idle, top wire: the
+    # oracle is C^7(W) x I, and the class check holds the circuit to it in
+    # spectral norm, the wire's gates joining the quantum ones.  Rz(0.3)
+    # there is 0.347 off, H 2; H H is the identity again, and leaves the
+    # build's own error, 0.049
+    c, spec = bench.build("approx-u", 7, gate=rz_mat(np.pi / 8))
+    O = apply_oracle(np.eye(1 << 9), 7, spec.ws)
+    got = _spectral_errors(monkeypatch)
+    for gates, want in (([Gate("Rz", (8,), angle=0.3)], 0.347),
+                        ([Gate("H", (8,))] * 2, 0.049),
+                        ([Gate("H", (8,))], 2.0)):
+        mut = Circuit(9, c.gates + tuple(gates))
+        d = spectral_distance(unitary_of(lower(mut)), O)
+        assert abs(d - want) < 1e-3
+        got.clear()
+        v = verify_circuit(mut, spec)
+        assert abs(max(e for _, e in got) - d) < 1e-12
+        assert v.lines() == ["FAIL tier=dense inputs=512: spectral error "
+                             "%.3e > epsilon 0.1" % d] if d > 0.1 else \
+            ["ok tier=dense inputs=512"]
 
 
 def _permutation_cases():
@@ -518,14 +564,14 @@ def test_bit_sliced_check_matches_the_column_stacks(monkeypatch, target, n,
     def no_run(*args):
         raise AssertionError("the bit-sliced check ran apply or the kernel")
     monkeypatch.setattr(sim, "apply", no_run)
-    monkeypatch.setattr(verify, "_basis", no_run)
+    monkeypatch.setattr(verify, "_held", no_run)
     sliced = [verify_circuit(b, spec).lines() for b in circuits]
     assert verify_circuit(c, spec._replace(ws=(X,) * m)).lines() == sliced[0]
     monkeypatch.undo()
     k = 1 << (c.num_qubits - (ancilla == "clean"))
     assert [[f for f in v if "dense check" in f] for v in sliced] == [
         ["FAIL tier=dense inputs=%d: %s" % (k, f) for f in
-         verify._dense_fails(verify._basis(b, spec, k))] for b in circuits]
+         kernel_fails(b, spec)] for b in circuits]
     assert sliced[0] == ["ok tier=dense inputs=%d" % k]
     assert any(v[-1].startswith("FAIL") for v in sliced[1:])
 
@@ -605,7 +651,7 @@ def test_bit_sliced_check_kills_what_the_sparse_tier_kills(target, n, m,
     # the sparse tier FAILs must FAIL the exhaustive check too
     c, spec = bench.build(target, n, m, ancilla)
     k = 1 << (c.num_qubits - (ancilla == "clean"))
-    assert c.num_qubits > verify.DENSE_CAP and k <= verify.SLICED_INPUTS
+    assert c.num_qubits > 11 and k <= verify.SLICED_INPUTS
     assert verify_circuit(c, spec).lines() == ["ok tier=dense inputs=%d" % k]
     assert verify._sparse(c, spec)[1] == []
     kills = [(verify._sparse(bad, spec)[1] != [],
@@ -688,7 +734,7 @@ def test_split_check_kills_what_the_sparse_tier_kills(n, m):
     # mcmt-su2 of 12 to 16 qubits, which verify checks bit-sliced on every
     # basis input: each seeded mutant that the sparse tier, run directly,
     # FAILs, or up to 13 qubits a statevector check, verify's check FAILs
-    # too; a mutant whose control turns quantum goes to the sparse tier
+    # too, a mutant whose control turns quantum among them
     rng = np.random.default_rng(7 * n + m)
     gate = (H, random_su2(rng), rz_mat(0.7))[(n + m) % 3]
     c, spec = bench.build("mcmt-su2", n, m, gate=gate)
@@ -709,21 +755,21 @@ def test_split_check_kills_what_the_sparse_tier_kills(n, m):
 @pytest.mark.parametrize("n, m", [(3, 3), (4, 2), (1, 5), (2, 4)])
 def test_split_check_past_its_work_bound_falls_back(monkeypatch, n, m):
     # the build has 4 classes (2 with one control) of 4^m entries: at that
-    # work verify runs the split check, one unit less the kernel, with the
-    # same line; seeded mutants get the same lines from the split check (no
-    # bound) and from the kernel (bound 0)
+    # work the split check builds its operators in Python, one unit less in
+    # numpy (sim.operator), with the same line; seeded mutants get the same
+    # lines from both branches (bound 2^40 and 0)
     rng = np.random.default_rng(n * 8 + m)
     c, spec = bench.build("mcmt-su2", n, m, gate=random_su2(rng))
-    basis, calls = verify._basis, []
-    monkeypatch.setattr(verify, "_basis",
-                        lambda *a: calls.append(a) or basis(*a))
+    operator, calls = sim.operator, []
+    monkeypatch.setattr(sim, "operator",
+                        lambda *a: calls.append(a) or operator(*a))
     work = (2 if n == 1 else 4) << 2 * m
-    for bound, kernel in ((work, False), (work - 1, True)):
+    for bound, numpy in ((work, False), (work - 1, True)):
         monkeypatch.setattr(verify, "_WORK", bound)
         calls.clear()
         assert verify_circuit(c, spec).lines() == [
             "ok tier=dense inputs=%d" % (1 << (n + m))]
-        assert (calls != []) == kernel
+        assert (calls != []) == numpy
     mutants, lines = list(_any_mutants(c, rng, 6)), []
     for bound in (1 << 40, 0):
         monkeypatch.setattr(verify, "_WORK", bound)
@@ -755,18 +801,17 @@ def test_split_check_matches_the_kernel_on_random_gates(n, m, seed):
                          angle=rng.normal() if kind in ANGLE_KINDS else None,
                          matrix=random_su2(rng) if kind in MATRIX_KINDS
                          else None))
-    k = 1 << (n + m)
     for gates, fails in ((rand, True), (rand + inverse_gates(rand), False)):
         b = Circuit(n + m, c.gates + tuple(gates))
         split = verify._split(b, spec)
-        assert split == verify._dense_fails(verify._basis(b, spec, k))
+        assert split == kernel_fails(b, spec)
         assert (split != []) == fails
 
 
-def test_split_check_work_bound_is_six_targets():
-    # 4 classes of 4^6 entries are _WORK: the build with 6 targets runs the
-    # split check, with 7 it declines
-    for m, declines in ((6, False), (7, True)):
+def test_split_check_work_bound_is_ten_targets():
+    # 4 classes of 4^10 entries are _WIDE: the build with 10 targets runs the
+    # split check, with 11 it declines
+    for m, declines in ((10, False), (11, True)):
         c, spec = bench.build("mcmt-su2", 4, m, gate=H)
         assert (verify._split(c, spec) is None) == declines
 
